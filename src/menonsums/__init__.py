@@ -29,6 +29,7 @@ from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
     char_label,
+    character_labels,
     character_group,
     character_order,
     conductor,
@@ -76,6 +77,7 @@ __all__ = [
     "SweepConfig",
     "UnitGroupStructure",
     "char_label",
+    "character_labels",
     "char_shift_sum",
     "character_group",
     "character_order",

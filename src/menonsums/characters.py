@@ -354,6 +354,21 @@ def char_label(chi: DirichletCharacter) -> str:
     return f"{chi.modulus}:" + ";".join(parts)
 
 
+def character_labels(n: int) -> list[str]:
+    """Labels of all phi(n) characters mod n in the canonical flat order.
+
+    Entry j equals ``char_label(enumerate_characters(n)[j])``; each prime
+    power's label strings are built once and joined by product.
+    """
+    if n > MODULUS_BOUND:
+        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    parts = []
+    for p, e in factorize(n).factors:
+        orders = (range(order) for _, order in unit_group_structure(p, e).generators)
+        parts.append([f"{p}^{e}=[{','.join(map(str, idx))}]" for idx in itertools.product(*orders)])
+    return [f"{n}:" + ";".join(combo) for combo in itertools.product(*parts)]
+
+
 # ---------------------------------------------------------------------------
 # vectorized per-modulus engine
 
@@ -425,6 +440,7 @@ class CharacterGroup:
             lin[self.coprime] = self.dlogs[self.coprime] @ strides
         self.flat_index_of_k = lin
         self._conductors: np.ndarray | None = None
+        self._labels: list[str] | None = None
 
     # -- per-character paths ------------------------------------------------
 
@@ -516,8 +532,14 @@ class CharacterGroup:
             return 0
         return int(np.ravel_multi_index(flat, self.orders))
 
+    def labels(self) -> list[str]:
+        """Label of every character, indexed like all_sums output."""
+        if self._labels is None:
+            self._labels = character_labels(self.modulus)
+        return self._labels
+
     def label(self, flat: int) -> str:
-        return char_label(self.character(flat))
+        return self.labels()[flat]
 
 
 @lru_cache(maxsize=16)

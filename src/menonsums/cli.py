@@ -80,12 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(remark, with_grid=False)
 
     search = subs.add_parser("search", help="search for strict-generalization failures")
-    search.add_argument("--n-max", type=int, default=36, help="largest modulus to scan")
-    search.add_argument("--s", default="2", help="comma-separated s values")
-    search.add_argument("--tolerance", type=float, default=1e-6, help="residual tolerance")
-    search.add_argument("--jobs", type=int, default=1, help="worker processes")
-    search.add_argument("--format", choices=FORMATS, default="text")
-    search.add_argument("--output", default=None)
+    _add_report_flags(search)
+    search.set_defaults(n_max=36, s="2")
 
     table = subs.add_parser("char-table", help="dump the character table of a modulus")
     table.add_argument("n", type=int)

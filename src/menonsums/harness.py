@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from .arith import (
     sigma,
     tau_s,
 )
-from .characters import MODULUS_BOUND, character_group, conductor, principal_character
+from .characters import MODULUS_BOUND, character_group, character_labels, conductor, principal_character
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import (
     PARTITION_BOUND,
@@ -89,6 +89,9 @@ _N_MAX_BOUND = {
 
 _BATCH = 512
 
+#: Most rows decoded to Python objects at once while formatting a report.
+_RUN_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -138,30 +141,50 @@ class IdentityReport:
         live = self.status != STATUS_SKIP
         return float(self.residual[live].max()) if live.any() else 0.0
 
-    def _row_modulus(self, i: int) -> int:
+    def _runs(self, rows: slice = slice(None)) -> Iterator[tuple[list, ...]]:
+        """Decode rows to Python lists in runs of at most _RUN_ROWS rows of one modulus.
+
+        Yields (modulus, params, chi, lhs, residual, rhs, status) columns: chi
+        is each row's label (None without a chi field), from labels built once
+        per modulus; lhs, residual and rhs are None on skipped rows.
+        """
         fields = self.param_fields
-        row = self.params[i]
+        params = self.params[rows].reshape(-1, len(fields))
         if "n" in fields:
-            return int(row[fields.index("n")])
-        return int(row[fields.index("p")] ** row[fields.index("n_exp")])
+            moduli = params[:, fields.index("n")]
+        else:
+            moduli = params[:, fields.index("p")].astype(np.int64) ** params[:, fields.index("n_exp")]
+        chi_at = fields.index("chi") if "chi" in fields else None
+        breaks = set(range(_RUN_ROWS, moduli.size, _RUN_ROWS))
+        if chi_at is not None:
+            breaks.update((np.flatnonzero(np.diff(moduli)) + 1).tolist())
+        edges = [0, *sorted(breaks), moduli.size] if moduli.size else []
+        values = (self.lhs[rows], self.residual[rows], self.rhs[rows])
+        status = self.status[rows]
+        labelled = None
+        for a, b in zip(edges, edges[1:]):
+            run = params[a:b].tolist()
+            if chi_at is not None:
+                if moduli[a] != labelled:
+                    labelled, labels = moduli[a], character_labels(int(moduli[a]))
+                chi = [labels[row[chi_at]] for row in run]
+            else:
+                chi = [None] * (b - a)
+            codes = status[a:b].tolist()
+            cols = [col[a:b].tolist() for col in values]
+            if STATUS_SKIP in codes:
+                cols = [[None if k == STATUS_SKIP else v for v, k in zip(col, codes)] for col in cols]
+            yield (moduli[a:b].tolist(), run, chi, *cols, [STATUS_NAMES[k] for k in codes])
+
+    def _records(self, rows: slice = slice(None)) -> Iterator[SweepRecord]:
+        fields = self.param_fields
+        for _, params, *values in self._runs(rows):
+            for row, chi, lhs, residual, rhs, status in zip(params, *values):
+                yield SweepRecord(self.identity, dict(zip(fields, row)), chi, lhs, residual, rhs, status)
 
     def record(self, i: int) -> SweepRecord:
-        fields = self.param_fields
-        row = self.params[i]
-        params = {f: int(v) for f, v in zip(fields, row)}
-        chi = None
-        if "chi" in fields:
-            chi = character_group(self._row_modulus(i)).label(params["chi"])
-        skipped = self.status[i] == STATUS_SKIP
-        return SweepRecord(
-            identity=self.identity,
-            params=params,
-            chi=chi,
-            lhs=None if skipped else int(self.lhs[i]),
-            residual=None if skipped else float(self.residual[i]),
-            rhs=None if skipped else int(self.rhs[i]),
-            status=STATUS_NAMES[self.status[i]],
-        )
+        i = range(len(self))[i]
+        return next(self._records(slice(i, i + 1)))
 
     @property
     def records(self) -> "_RecordSeq":
@@ -178,16 +201,10 @@ class _RecordSeq:
         return len(self._report)
 
     def __getitem__(self, i: int) -> SweepRecord:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
         return self._report.record(i)
 
     def __iter__(self) -> Iterator[SweepRecord]:
-        for i in range(len(self)):
-            yield self._report.record(i)
+        return self._report._records()
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +322,19 @@ def _chunk(params, lhs, residual, rhs, ok, skip):
     )
 
 
-def _rounded_parts(sums: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:
+def _rounded_parts(sums: np.ndarray, group, s: int, where=None, flat=None) -> tuple[np.ndarray, np.ndarray]:
+    """Round sums[j], the sum of character flat[j] (default j) mod group.modulus;
+    a residual >= 0.5 inside ``where`` raises IntegrityError naming its place."""
     lhs = np.rint(sums.real).astype(np.int64)
     residual = np.abs(sums - lhs)
-    live = residual if where is None else residual[where]
+    live = residual if where is None else np.where(where, residual, 0.0)
     if live.size and not live.max() < 0.5:
-        raise IntegrityError("a character sum is not within 0.5 of an integer")
+        j = int(np.argmax(live))
+        chi = group.label(j if flat is None else int(flat[j]))
+        raise IntegrityError(
+            f"character sum at n={group.modulus}, s={s}, chi={chi} is not within 0.5 "
+            f"of an integer (residual {live[j]:.3e})"
+        )
     return lhs, residual
 
 
@@ -344,7 +368,7 @@ def _job_sury(s: int, lo: int, hi: int):
 def _job_zhao_cao(n: int):
     group = character_group(n)
     sums = group.all_sums(zhao_cao_weights(n))
-    lhs, residual = _rounded_parts(sums)
+    lhs, residual = _rounded_parts(sums, group, 1)
     conds = group.conductors()
     phi = euler_phi(n)
     rhs = _rhs_by_conductor(conds, lambda d: phi * divisor_tau(n // d))
@@ -361,7 +385,7 @@ def _job_theorem1(s: int, n: int):
     if idx.size == 0:
         return _chunk(np.zeros((0, 3)), [], [], [], [], [])
     sums = group.all_sums(generalized_weights(n, s))[idx]
-    lhs, residual = _rounded_parts(sums)
+    lhs, residual = _rounded_parts(sums, group, s, flat=idx)
     rhs = np.full(idx.size, klee_phi(n, s), dtype=np.int64)
     params = np.column_stack([np.full(idx.size, n), np.full(idx.size, s), idx])
     return _chunk(params, lhs, residual, rhs, lhs == rhs, np.zeros(idx.size, dtype=bool))
@@ -372,7 +396,7 @@ def _job_theorem2(s: int, n: int):
     sums = group.all_sums(generalized_weights(n, s))
     conds = group.conductors()
     qualified = np.isin(conds, _theorem2_conductor_targets(n, s))
-    lhs, residual = _rounded_parts(sums, where=qualified)
+    lhs, residual = _rounded_parts(sums, group, s, where=qualified)
     phi_s = klee_phi(n, s)
     rhs = _rhs_by_conductor(conds, lambda d: phi_s * tau_s(n // d, s))
     skip = ~qualified
@@ -403,7 +427,7 @@ def _job_lemma31(p: int, n_exp: int, s: int):
     chunks = []
     for m in range(s, n_exp, s):
         sums = _shift_sums_by_m(group, p, n_exp, s, m)[prim_idx]
-        lhs, residual = _rounded_parts(sums)
+        lhs, residual = _rounded_parts(sums, group, s, flat=prim_idx)
         rhs = np.full(prim_idx.size, -1 if m == n_exp - s else 0, dtype=np.int64)
         params = np.column_stack(
             [
@@ -429,7 +453,7 @@ def _job_lemma33(p: int, n_exp: int, s: int):
     chunks = []
     for m in range(s, n_exp, s):
         sums = _shift_sums_by_m(group, p, n_exp, s, m)
-        lhs, residual = _rounded_parts(sums, where=~skip)
+        lhs, residual = _rounded_parts(sums, group, s, where=~skip)
         phi_block = klee_phi(p ** (n_exp - m), s)
         rhs = np.where(
             ls <= m,
@@ -459,7 +483,7 @@ def _job_lemma34(p: int, a: int, s: int):
     conds = group.conductors()
     ls = _conductor_exponents(p, a, conds)
     skip = (ls == 0) | (ls % s != 0)
-    lhs, residual = _rounded_parts(sums, where=~skip)
+    lhs, residual = _rounded_parts(sums, group, s, where=~skip)
     r = ls // s
     rhs = (a // s - r + 1) * klee_phi(q, s)
     lhs = np.where(skip, 0, lhs)
@@ -487,7 +511,7 @@ def _job_cohen(n: int, s: int):
 def _job_strict(n: int, s: int):
     group = character_group(n)
     sums = group.all_sums(generalized_weights(n, s))
-    lhs, residual = _rounded_parts(sums)
+    lhs, residual = _rounded_parts(sums, group, s)
     conds = group.conductors()
     phi_s = klee_phi(n, s)
     rhs = _rhs_by_conductor(conds, lambda d: phi_s * tau_s(n // d, s))
@@ -628,48 +652,44 @@ def search_counterexamples(
 # serialization
 
 
-def _display_cells(report: IdentityReport, i: int) -> tuple[str, str, str, str, str, str, str]:
+def _display_runs(report: IdentityReport) -> Iterator[Iterator[tuple[str, ...]]]:
+    """Per run of one modulus, the display cells (n, s, chi, lhs, residual,
+    rhs, status) of its rows; the m or d parameter joins the chi cell."""
     fields = report.param_fields
-    row = report.params[i]
-    values = {f: int(v) for f, v in zip(fields, row)}
-    n_disp = values["n"] if "n" in values else values["p"] ** values["n_exp"]
-    extras = [f"{f}={values[f]}" for f in fields if f in ("m", "d")]
-    chi_parts = []
-    if "chi" in fields:
-        chi_parts.append(character_group(report._row_modulus(i)).label(values["chi"]))
-    chi_parts.extend(extras)
-    chi_disp = " ".join(chi_parts)
-    skipped = report.status[i] == STATUS_SKIP
-    lhs = "" if skipped else str(int(report.lhs[i]))
-    rhs = "" if skipped else str(int(report.rhs[i]))
-    residual = "" if skipped else f"{report.residual[i]:.3e}"
-    return (
-        str(n_disp),
-        str(values["s"]),
-        chi_disp,
-        lhs,
-        residual,
-        rhs,
-        STATUS_NAMES[report.status[i]],
-    )
+    s_at = fields.index("s")
+    extras = [(f, fields.index(f)) for f in fields if f in ("m", "d")]
+    for moduli, params, chi, lhs, residual, rhs, status in report._runs():
+        if extras:
+            chi = [
+                " ".join(filter(None, [c, *(f"{f}={row[j]}" for f, j in extras)]))
+                for c, row in zip(chi, params)
+            ]
+        yield zip(
+            map(str, moduli),
+            [str(row[s_at]) for row in params],
+            [c or "" for c in chi],
+            ["" if v is None else str(v) for v in lhs],
+            ["" if v is None else f"{v:.3e}" for v in residual],
+            ["" if v is None else str(v) for v in rhs],
+            status,
+        )
 
 
 def _format_csv(report: IdentityReport) -> bytes:
-    lines = ["identity,n,s,chi,lhs,residual,rhs,status"]
-    for i in range(len(report)):
-        n, s, chi, lhs, residual, rhs, status = _display_cells(report, i)
-        chi_cell = f'"{chi}"' if chi else ""
-        lines.append(f"{report.identity},{n},{s},{chi_cell},{lhs},{residual},{rhs},{status}")
-    return ("\n".join(lines) + "\n").encode()
+    parts = [b"identity,n,s,chi,lhs,residual,rhs,status\n"]
+    for run in _display_runs(report):
+        lines = []
+        for n, s, chi, lhs, residual, rhs, status in run:
+            chi_cell = f'"{chi}"' if chi else ""
+            lines.append(f"{report.identity},{n},{s},{chi_cell},{lhs},{residual},{rhs},{status}\n")
+        parts.append("".join(lines).encode())
+    return b"".join(parts)
 
 
 def _format_text(report: IdentityReport) -> bytes:
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
-    rows = [(report.identity, *_display_cells(report, i)) for i in range(len(report))]
-    widths = [len(h) for h in header]
-    for row in rows:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(cell))
+    rows = [(report.identity, *cells) for run in _display_runs(report) for cells in run]
+    widths = [max([len(h)] + [len(row[j]) for row in rows]) for j, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -682,30 +702,9 @@ def _format_text(report: IdentityReport) -> bytes:
 
 
 def _format_json(report: IdentityReport) -> bytes:
-    config = report.config
-    records = []
-    for rec in report.records:
-        records.append(
-            {
-                "identity": rec.identity,
-                "params": rec.params,
-                "chi": rec.chi,
-                "lhs": rec.lhs,
-                "residual": rec.residual,
-                "rhs": rec.rhs,
-                "status": rec.status,
-            }
-        )
     doc = {
-        "config": {
-            "identity": config.identity,
-            "n_max": config.n_max,
-            "s_values": list(config.s_values),
-            "tolerance": config.tolerance,
-            "output": config.output,
-            "parallelism": config.parallelism,
-        },
-        "records": records,
+        "config": asdict(report.config),
+        "records": [rec._asdict() for rec in report.records],
         "summary": report.summary,
         "worst_residual": report.worst_residual,
     }

@@ -14,6 +14,7 @@ from menonsums import (
     DomainError,
     char_label,
     character_group,
+    character_labels,
     conductor,
     conductor_by_definition,
     enumerate_characters,
@@ -28,6 +29,7 @@ from menonsums import (
     unit_group_structure,
 )
 from menonsums.arith import primes_upto
+from menonsums.characters import CharacterGroup
 
 
 class TestUnitGroupStructure:
@@ -326,3 +328,11 @@ class TestLabels:
         assert char_label(chi) == "12:2^2=[1];3^1=[1]"
         chi16 = enumerate_characters(16)[-1]
         assert char_label(chi16) == "16:2^4=[1,3]"
+
+    # 2**a has two generators from a = 3; 840 = 2^3*3*5*7 has four prime factors.
+    @pytest.mark.parametrize("n", [*range(1, 201), *(2**a for a in range(1, 11)), 840])
+    def test_character_labels_match_char_label(self, n):
+        expected = [char_label(chi) for chi in enumerate_characters(n)]
+        assert character_labels(n) == expected
+        group = CharacterGroup(n)
+        assert [group.label(i) for i in range(group.phi)] == expected

@@ -11,6 +11,7 @@ import pytest
 
 from menonsums import (
     DomainError,
+    IntegrityError,
     ResourceError,
     divisor_tau,
     euler_phi,
@@ -22,7 +23,8 @@ from menonsums import (
     tau_s,
 )
 from menonsums.harness import STATUS_NAMES, SweepConfig
-from menonsums.cli import char_table_bytes, main
+from menonsums.characters import CharacterGroup
+from menonsums.cli import build_parser, char_table_bytes, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -234,6 +236,27 @@ class TestCli:
     def test_config_error_exit_two(self, capsys):
         assert main(["verify", "menon", "--n-max", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_search_defaults(self):
+        args = build_parser().parse_args(["search"])
+        assert (args.n_max, args.s) == (36, "2")
+
+    def test_integrity_error_names_its_location(self, monkeypatch, capsys):
+        exact = CharacterGroup.all_sums
+
+        def off_by_point_seven(self, weights):
+            sums = exact(self, weights)
+            if self.modulus == 12:
+                sums[3] += 0.7j
+            return sums
+
+        monkeypatch.setattr(CharacterGroup, "all_sums", off_by_point_seven)
+        message = "character sum at n=12, s=1, chi=12:2^2=[1];3^1=[1] is not within 0.5 of an integer (residual 7.000e-01)"
+        with pytest.raises(IntegrityError) as err:
+            run_sweep(SweepConfig(identity="zhao_cao", n_max=12))
+        assert str(err.value) == message
+        assert main(["verify", "zhao_cao", "--n-max", "12"]) == 1
+        assert capsys.readouterr().err == f"integrity error: {message}\n"
 
     def test_jobs_flag(self, capsys):
         assert main(["verify", "zhao_cao", "--n-max", "12", "--jobs", "2", "--format", "csv"]) == 0

@@ -1,0 +1,63 @@
+"""Golden byte guard: sha256 of format_report output for every report kind.
+
+The digests in data/report_digests.json were recorded from the row-at-a-time
+formatter that preceded per-modulus formatting.  A formatter change that
+alters a single byte of any identity, format or parallelism fails here.
+
+Regenerate (only when a report format change is intended) with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from menonsums import format_report, reproduce_remark, run_sweep, search_counterexamples
+from menonsums import harness
+from menonsums.harness import FORMATS, IDENTITIES, SweepConfig
+
+DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
+
+
+def _reports():
+    """(case name, zero-argument report factory, formats) for every guarded case."""
+    for ident in IDENTITIES:
+        cfg = SweepConfig(identity=ident, n_max=64, s_values=(1, 2))
+        yield f"{ident}-n64-s12", (lambda cfg=cfg: run_sweep(cfg)), FORMATS
+    empty = SweepConfig(identity="theorem2", n_max=3, s_values=(2,))
+    yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS
+    yield "remark", reproduce_remark, FORMATS
+    yield "search-n36-s2", (lambda: search_counterexamples(36, (2,))), FORMATS
+    jobs2 = SweepConfig(identity="theorem2", n_max=64, s_values=(1, 2), parallelism=2)
+    yield "theorem2-n64-s12-jobs2", (lambda: run_sweep(jobs2)), ("csv",)
+
+
+CASES = [(name, make, fmt) for name, make, fmts in _reports() for fmt in fmts]
+
+
+def _digest(make, fmt) -> str:
+    return hashlib.sha256(format_report(make(), fmt)).hexdigest()
+
+
+# Formatting decodes at most _RUN_ROWS rows at a time; 7 splits runs inside
+# one modulus, so labels must carry across the split.
+@pytest.mark.parametrize("run_rows", [harness._RUN_ROWS, 7])
+@pytest.mark.parametrize("name, make, fmt", CASES, ids=[f"{n}-{f}" for n, _, f in CASES])
+def test_report_bytes_match_golden_digest(name, make, fmt, run_rows, monkeypatch):
+    monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
+    expected = json.loads(DIGESTS.read_text())
+    assert _digest(make, fmt) == expected[f"{name}.{fmt}"]
+
+
+def test_parallel_csv_digest_equals_serial_digest():
+    expected = json.loads(DIGESTS.read_text())
+    assert expected["theorem2-n64-s12-jobs2.csv"] == expected["theorem2-n64-s12.csv"]
+
+
+if __name__ == "__main__":
+    digests = {f"{name}.{fmt}": _digest(make, fmt) for name, make, fmt in CASES}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")
