@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the numpy kernels of ``menonsums.kernels`` on sweep-shaped workloads.
 
-Each kernel is timed on a sweep-shaped workload (best of `--repeat` runs,
-after a warmup call that absorbs JIT compilation).  Run:
+Each workload is timed as the best of `--repeat` runs after one warmup
+call.  Run:
 
     python3 benchmarks/bench_kernels.py [--repeat 5]
 """
 
 import argparse
+import pathlib
+import sys
 import time
 
 import numpy as np
 
-from menonsums import kernels
-from menonsums.arith import power_divisors
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from menonsums import kernels  # noqa: E402
+from menonsums.arith import power_divisors  # noqa: E402
 
 
 def best_of(fn, repeat: int) -> float:
-    fn()  # warmup; compiles the numba path on first call
+    fn()
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -32,33 +36,27 @@ def workloads():
     t_idx = rng.integers(-1, 5040, size=100_000)
     weights = rng.integers(1, 100, size=100_000).astype(np.float64)
     roots = np.exp(2j * np.pi * np.arange(5040) / 5040)
+    k = kernels
     return [
-        ("menon_gcd_sum(100000)", "menon_gcd_sum", lambda f: f(100_000)),
-        ("sum menon_gcd_sum n<=2000", "menon_gcd_sum", lambda f: [f(n) for n in range(1, 2001)]),
-        ("klee_brute_count(100000, 2)", "klee_brute_count", lambda f: f(100_000, 2)),
-        ("klee_brute_count(30000, 1)", "klee_brute_count", lambda f: f(30_000, 1)),
-        ("sgcd_weights(720720, s=2)", "sgcd_weights", lambda f: f(720720, pds2)),
-        ("dlog_cyclic(3^12)", "dlog_cyclic", lambda f: f(531441, 5, 354294)),
-        ("dlog_two_gens(2^19)", "dlog_two_gens", lambda f: f(1 << 19, 1 << 17)),
-        ("weighted_char_sum(1e5 terms)", "weighted_char_sum", lambda f: f(t_idx, weights, roots)),
+        ("menon_gcd_sum", "n = 100000", lambda: k.menon_gcd_sum(100_000)),
+        ("menon_gcd_sum", "all n <= 8000", lambda: [k.menon_gcd_sum(n) for n in range(1, 8001)]),
+        ("klee_brute_count", "n = 100000, s = 2", lambda: k.klee_brute_count(100_000, 2)),
+        ("klee_brute_count", "n = 30000, s = 1", lambda: k.klee_brute_count(30_000, 1)),
+        ("sgcd_weights", "n = 720720, s = 2", lambda: k.sgcd_weights(720720, pds2)),
+        ("dlog_cyclic", "q = 3^12", lambda: k.dlog_cyclic(531441, 5, 354294)),
+        ("dlog_two_gens", "q = 2^19", lambda: k.dlog_two_gens(1 << 19, 1 << 17)),
+        ("weighted_char_sum", "1e5 terms", lambda: k.weighted_char_sum(t_idx, weights, roots)),
     ]
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    if not kernels.HAVE_NUMBA:
-        print("numba is not importable; nothing to compare")
-        return
-
-    print(f"selected backend at import: {kernels.BACKEND}")
-    print(f"{'workload':<34} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    for label, name, call in workloads():
-        t_np = best_of(lambda: call(kernels.IMPLEMENTATIONS[name]["numpy"]), args.repeat)
-        t_nb = best_of(lambda: call(kernels.IMPLEMENTATIONS[name]["numba"]), args.repeat)
-        print(f"{label:<34} {t_np*1e3:>8.2f}ms {t_nb*1e3:>8.2f}ms {t_np/t_nb:>7.1f}x")
+    print(f"{'kernel':<18} {'workload':<20} {'best':>10}")
+    for kernel, workload, call in workloads():
+        print(f"{kernel:<18} {workload:<20} {best_of(call, args.repeat) * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

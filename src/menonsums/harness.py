@@ -252,18 +252,16 @@ def _build_jobs(config: SweepConfig) -> list[tuple]:
     n_max = config.n_max
     s_values = _dedupe(config.s_values)
     jobs: list[tuple] = []
-    if ident == "menon":
-        for lo in range(1, n_max + 1, _BATCH):
-            jobs.append(("menon", lo, min(lo + _BATCH - 1, n_max)))
-    elif ident == "sury":
+    if ident == "sury":
         for s in s_values:
             if n_max**s > TUPLE_BOUND:
                 raise ResourceError(
                     f"sury sweep refused: {n_max}**{s} tuples exceed {TUPLE_BOUND}"
                 )
-        for s in s_values:
+    if ident in _GCD_SUMS:
+        for s in (1,) if ident == "menon" else s_values:
             for lo in range(1, n_max + 1, _BATCH):
-                jobs.append(("sury", s, lo, min(lo + _BATCH - 1, n_max)))
+                jobs.append(("gcd_sum", ident, s, lo, min(lo + _BATCH - 1, n_max)))
     elif ident == "zhao_cao":
         jobs = [("zhao_cao", n) for n in range(1, n_max + 1)]
     elif ident == "theorem1":
@@ -345,20 +343,20 @@ def _rhs_by_conductor(conds: np.ndarray, fn) -> np.ndarray:
     return rhs
 
 
-def _job_menon(lo: int, hi: int):
-    ns = range(lo, hi + 1)
-    lhs = [menon_sum(n) for n in ns]
-    rhs = [euler_phi(n) * divisor_tau(n) for n in ns]
-    params = [(n, 1) for n in ns]
-    z = np.zeros(len(lhs))
-    eq = np.array([a == b for a, b in zip(lhs, rhs)])
-    return _chunk(params, lhs, z, rhs, eq, np.zeros(len(lhs), dtype=bool))
+# (lhs, rhs) of the classical gcd-sum identities, as functions of (n, s).
+# The lambdas look the evaluators up at call time, so a wrapped module
+# attribute is what runs.
+_GCD_SUMS = {
+    "menon": (lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
+    "sury": (lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
+}
 
 
-def _job_sury(s: int, lo: int, hi: int):
+def _job_gcd_sum(ident: str, s: int, lo: int, hi: int):
+    lhs_of, rhs_of = _GCD_SUMS[ident]
     ns = range(lo, hi + 1)
-    lhs = [sury_sum(n, s) for n in ns]
-    rhs = [euler_phi(n) * sigma(n, s - 1) for n in ns]
+    lhs = [lhs_of(n, s) for n in ns]
+    rhs = [rhs_of(n, s) for n in ns]
     params = [(n, s) for n in ns]
     z = np.zeros(len(lhs))
     eq = np.array([a == b for a, b in zip(lhs, rhs)])
@@ -522,8 +520,7 @@ def _job_strict(n: int, s: int):
 
 
 _JOB_RUNNERS = {
-    "menon": _job_menon,
-    "sury": _job_sury,
+    "gcd_sum": _job_gcd_sum,
     "zhao_cao": _job_zhao_cao,
     "theorem1": _job_theorem1,
     "theorem2": _job_theorem2,

@@ -1,53 +1,31 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels in numpy.
 
-The numba path is selected when numba imports cleanly and the environment
-variable MENONSUMS_NUMBA is not set to one of 0/false/off/no.  The numpy
-implementations are the reference fallback and stay importable either way,
-so tests and ``benchmarks/bench_kernels.py`` can compare the two backends
-directly.  All kernels are pure functions of their arguments.
+All kernels are pure functions of their arguments.  ``arith`` imports this
+module, so nothing here may import ``arith`` back.
 """
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+def menon_gcd_sum(n: int) -> int:
+    """sum of gcd(k-1, n) over 1 <= k <= n with gcd(k, n) = 1.
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("MENONSUMS_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+    w[j] = gcd(j, n) is the s = 1 case of ``sgcd_weights``.  Its ascending
+    divisors are the j <= sqrt(n) that divide n and their cofactors, not a
+    factorization of n, so this lhs shares nothing with the phi(n) * tau(n)
+    it is checked against.  k is a unit exactly where w[k mod n] == 1, and
+    roll(w, 1)[k] = w[k-1].
+    """
+    j = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+    small = j[n % j == 0]
+    large = n // small[::-1]
+    w = sgcd_weights(n, np.concatenate((small, large[large > small[-1]])))
+    return int(np.roll(w, 1)[w == 1].sum())
 
 
-USE_NUMBA = HAVE_NUMBA and _numba_requested()
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-
-
-def menon_gcd_sum_np(n: int) -> int:
-    """sum of gcd(k-1, n) over 1 <= k <= n with gcd(k, n) = 1."""
-    k = np.arange(1, n + 1, dtype=np.int64)
-    coprime = np.gcd(k, n) == 1
-    return int(np.gcd(k[coprime] - 1, n).sum())
-
-
-def sgcd_weights_np(n: int, power_divisors: np.ndarray) -> np.ndarray:
+def sgcd_weights(n: int, power_divisors: np.ndarray) -> np.ndarray:
     """w[j] = (j, n)_s for 0 <= j < n, given the ascending l**s divisors of n.
 
     Ascending order makes the last write per slot the largest divisor, which
@@ -60,7 +38,7 @@ def sgcd_weights_np(n: int, power_divisors: np.ndarray) -> np.ndarray:
     return w
 
 
-def klee_brute_count_np(n: int, s: int) -> int:
+def klee_brute_count(n: int, s: int) -> int:
     """Count of 1 <= m <= n whose gcd with n is divisible by no l**s > 1."""
     g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
     if s == 1:
@@ -73,142 +51,40 @@ def klee_brute_count_np(n: int, s: int) -> int:
     return int(unit.sum())
 
 
-def dlog_cyclic_np(q: int, g: int, order: int) -> np.ndarray:
+def _powers(g: int, m: int, q: int) -> np.ndarray:
+    """g**j mod q for 0 <= j < m, doubling the known prefix at each step.
+
+    Entries and multipliers are below q, so products stay below q**2, which
+    int64 holds for every q up to the 2**20 modulus bound.
+    """
+    out = np.empty(m, dtype=np.int64)
+    out[0] = 1
+    k = 1
+    while k < m:
+        step = min(k, m - k)
+        out[k : k + step] = out[:step] * pow(g, k, q) % q
+        k += step
+    return out
+
+
+def dlog_cyclic(q: int, g: int, order: int) -> np.ndarray:
     """table[x] = j for x = g**j mod q, j in [0, order); -1 elsewhere."""
     table = np.full(q, -1, dtype=np.int32)
-    x = 1
-    for j in range(order):
-        table[x] = j
-        x = (x * g) % q
+    table[_powers(g, order, q)] = np.arange(order, dtype=np.int32)
     return table
 
 
-def dlog_two_gens_np(q: int, order5: int) -> np.ndarray:
+def dlog_two_gens(q: int, order5: int) -> np.ndarray:
     """table[x] = (i, j) for x = (-1)**i * 5**j mod q; -1 rows elsewhere."""
     table = np.full((q, 2), -1, dtype=np.int32)
-    for i in range(2):
-        x = 1 if i == 0 else q - 1
-        for j in range(order5):
-            table[x, 0] = i
-            table[x, 1] = j
-            x = (x * 5) % q
+    x = _powers(5, order5, q)
+    table[x, 0] = 0
+    table[q - x, 0] = 1
+    table[x, 1] = table[q - x, 1] = np.arange(order5, dtype=np.int32)
     return table
 
 
-def weighted_char_sum_np(t_idx: np.ndarray, weights: np.ndarray, roots: np.ndarray) -> complex:
+def weighted_char_sum(t_idx: np.ndarray, weights: np.ndarray, roots: np.ndarray) -> complex:
     """sum of weights[k] * roots[t_idx[k]] over entries with t_idx[k] >= 0."""
     m = t_idx >= 0
     return complex(np.sum(weights[m] * roots[t_idx[m]]))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def menon_gcd_sum_nb(n):
-        total = 0
-        for k in range(1, n + 1):
-            a, b = k, n
-            while b:
-                a, b = b, a % b
-            if a == 1:
-                c, d = k - 1, n
-                while d:
-                    c, d = d, c % d
-                total += c
-        return total
-
-    @njit(cache=True)
-    def sgcd_weights_nb(n, power_divisors):
-        w = np.ones(n, dtype=np.int64)
-        for i in range(power_divisors.size):
-            d = power_divisors[i]
-            for j in range(0, n, d):
-                w[j] = d
-        return w
-
-    @njit(cache=True)
-    def klee_brute_count_nb(n, s):
-        count = 0
-        for m in range(1, n + 1):
-            a, b = m, n
-            while b:
-                a, b = b, a % b
-            if s == 1:
-                if a == 1:
-                    count += 1
-                continue
-            unit = True
-            l = 2
-            while l**s <= a:
-                if a % (l**s) == 0:
-                    unit = False
-                    break
-                l += 1
-            if unit:
-                count += 1
-        return count
-
-    @njit(cache=True)
-    def dlog_cyclic_nb(q, g, order):
-        table = np.full(q, -1, dtype=np.int32)
-        x = 1
-        for j in range(order):
-            table[x] = j
-            x = (x * g) % q
-        return table
-
-    @njit(cache=True)
-    def dlog_two_gens_nb(q, order5):
-        table = np.full((q, 2), -1, dtype=np.int32)
-        for i in range(2):
-            x = 1 if i == 0 else q - 1
-            for j in range(order5):
-                table[x, 0] = i
-                table[x, 1] = j
-                x = (x * 5) % q
-        return table
-
-    @njit(cache=True)
-    def weighted_char_sum_nb(t_idx, weights, roots):
-        acc = 0.0 + 0.0j
-        for i in range(t_idx.size):
-            t = t_idx[i]
-            if t >= 0:
-                acc += weights[i] * roots[t]
-        return acc
-
-else:  # pragma: no cover - exercised only without numba installed
-    menon_gcd_sum_nb = None
-    sgcd_weights_nb = None
-    klee_brute_count_nb = None
-    dlog_cyclic_nb = None
-    dlog_two_gens_nb = None
-    weighted_char_sum_nb = None
-
-
-IMPLEMENTATIONS = {
-    "menon_gcd_sum": {"numpy": menon_gcd_sum_np, "numba": menon_gcd_sum_nb},
-    "sgcd_weights": {"numpy": sgcd_weights_np, "numba": sgcd_weights_nb},
-    "klee_brute_count": {"numpy": klee_brute_count_np, "numba": klee_brute_count_nb},
-    "dlog_cyclic": {"numpy": dlog_cyclic_np, "numba": dlog_cyclic_nb},
-    "dlog_two_gens": {"numpy": dlog_two_gens_np, "numba": dlog_two_gens_nb},
-    "weighted_char_sum": {"numpy": weighted_char_sum_np, "numba": weighted_char_sum_nb},
-}
-
-if USE_NUMBA:
-    menon_gcd_sum = menon_gcd_sum_nb
-    sgcd_weights = sgcd_weights_nb
-    klee_brute_count = klee_brute_count_nb
-    dlog_cyclic = dlog_cyclic_nb
-    dlog_two_gens = dlog_two_gens_nb
-    weighted_char_sum = weighted_char_sum_nb
-else:
-    menon_gcd_sum = menon_gcd_sum_np
-    sgcd_weights = sgcd_weights_np
-    klee_brute_count = klee_brute_count_np
-    dlog_cyclic = dlog_cyclic_np
-    dlog_two_gens = dlog_two_gens_np
-    weighted_char_sum = weighted_char_sum_np

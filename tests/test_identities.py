@@ -29,8 +29,10 @@ from menonsums import (
     sigma,
     sury_sum,
     tau_s,
+    unit_group_structure,
     zhao_cao_sum,
 )
+from menonsums import kernels
 from menonsums.identities import cohen_partition_stats, generalized_weights, zhao_cao_weights
 
 
@@ -261,32 +263,62 @@ def _zc_terms(n, chi):
     return [(k, eval_character(chi, k)) for k in range(1, n + 1)]
 
 
-class TestKernelBackendsAgree:
-    def test_numba_and_numpy_paths_match(self):
-        from menonsums import kernels
+def _odd_prime_powers_upto(bound):
+    for p in range(3, bound + 1, 2):
+        if all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
+            a = 1
+            while p**a <= bound:
+                yield p, a
+                a += 1
 
-        pairs = kernels.IMPLEMENTATIONS
-        if pairs["menon_gcd_sum"]["numba"] is None:
-            pytest.skip("numba unavailable")
-        for n in (1, 2, 17, 96, 1000):
-            assert pairs["menon_gcd_sum"]["numba"](n) == pairs["menon_gcd_sum"]["numpy"](n)
+
+class TestKernelsMatchDefinitions:
+    """Each kernel against a pure-Python statement of what it computes."""
+
+    def test_menon_gcd_sum(self):
+        for n in [*range(1, 1501), 65536, 83160, 99991]:
+            direct = sum(math.gcd(k - 1, n) for k in range(1, n + 1) if math.gcd(k, n) == 1)
+            assert kernels.menon_gcd_sum(n) == direct, n
+
+    @staticmethod
+    def _check_dlog(table, q, powers, logs):
+        """table[x] == log for every (x, log) pair, and -1 at every non-unit."""
+        assert np.array_equal(table[powers], logs), q
+        assert (table[np.gcd(np.arange(q), q) != 1] == -1).all(), q
+
+    def test_dlog_cyclic(self):
+        cases = [(4, 3, 2)]
+        for p, a in [*_odd_prime_powers_upto(5000), (3, 10)]:
+            q = p**a
+            cases.append((q, unit_group_structure(p, a).generators[0][0], q // p * (p - 1)))
+        for q, g, order in cases:
+            powers = [pow(g, j, q) for j in range(order)]
+            self._check_dlog(kernels.dlog_cyclic(q, g, order), q, powers, np.arange(order))
+
+    def test_dlog_two_gens(self):
+        for a in range(3, 17):
+            q = 1 << a
+            pairs = [(i, j) for i in range(2) for j in range(q // 4)]
+            powers = [(-1) ** i * pow(5, j, q) % q for i, j in pairs]
+            self._check_dlog(kernels.dlog_two_gens(q, q // 4), q, powers, np.array(pairs))
+
+    def test_sgcd_weights_and_klee_count(self):
         for n in (1, 12, 360):
             for s in (1, 2, 3):
                 pds = np.array(power_divisors(n, s), dtype=np.int64)
-                a = pairs["sgcd_weights"]["numba"](n, pds)
-                b = pairs["sgcd_weights"]["numpy"](n, pds)
-                assert np.array_equal(a, b)
-                assert pairs["klee_brute_count"]["numba"](n, s) == pairs["klee_brute_count"]["numpy"](n, s)
-        assert np.array_equal(
-            pairs["dlog_cyclic"]["numba"](27, 2, 18), pairs["dlog_cyclic"]["numpy"](27, 2, 18)
-        )
-        assert np.array_equal(
-            pairs["dlog_two_gens"]["numba"](32, 8), pairs["dlog_two_gens"]["numpy"](32, 8)
-        )
+                w = kernels.sgcd_weights(n, pds)
+                for j in range(n):
+                    g = math.gcd(j, n)
+                    assert w[j] == max(l**s for l in range(1, g + 1) if g % l**s == 0)
+                no_power = [
+                    m for m in range(1, n + 1) if all(math.gcd(m, n) % l**s for l in range(2, n + 1))
+                ]
+                assert kernels.klee_brute_count(n, s) == len(no_power)
+
+    def test_weighted_char_sum(self):
         rng = np.random.default_rng(3)
         t = rng.integers(-1, 6, size=50)
         w = rng.random(50)
         roots = np.exp(2j * np.pi * np.arange(6) / 6)
-        za = pairs["weighted_char_sum"]["numba"](t, w, roots)
-        zb = pairs["weighted_char_sum"]["numpy"](t, w, roots)
-        assert abs(za - zb) < 1e-12
+        direct = sum(w[k] * roots[t[k]] for k in range(50) if t[k] >= 0)
+        assert abs(kernels.weighted_char_sum(t, w, roots) - direct) < 1e-12
