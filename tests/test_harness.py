@@ -280,7 +280,6 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert b"strict_gen,4,2" in proc.stdout
-        assert proc.stdout == format_report(reproduce_remark(), "csv")
 
     def test_usage_error_exit_two(self):
         proc = subprocess.run(
@@ -289,3 +288,16 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestBackendSelection:
+    """numpy is the only kernel backend; the CLI must reproduce the remark with it."""
+
+    def test_fallback_backend_reproduces_remark(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "menonsums", "remark", "--format", "csv"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert b"strict_gen,4,2" in proc.stdout
+        assert proc.stdout == format_report(reproduce_remark(), "csv")
