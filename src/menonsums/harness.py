@@ -1,19 +1,24 @@
 """Verification sweeps over the identity grids, with serializable reports.
 
-Every sweep exhaustively enumerates its parameter grid (all qualifying
-n, s and characters), emits one record per instance, and aggregates a
-pass/fail/skipped summary.  Records are stored columnar (numpy arrays) so
-that the large theorem-2 grid stays cheap; ``report.records`` exposes them
-as ordinary per-record objects.  Record order is fixed by the grid, so
-output is byte-identical at any parallelism.
+Every identity is one row of ``_SPECS``: its report fields, n_max bound and
+job grid, plus either scalar rows or the weights, qualifier and conductor
+rhs of a sum over all characters of one modulus.  ``_run_job`` is the one
+runner for both kinds.  Every sweep exhaustively enumerates its grid (all
+qualifying n, s and characters), emits one record per instance, and
+aggregates a pass/fail/skipped summary.  Records are stored columnar (numpy
+arrays) so that the large theorem-2 grid stays cheap; ``report.records``
+exposes them as ordinary per-record objects.  Record order is fixed by the
+grid, so output is byte-identical at any parallelism.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,18 +46,6 @@ from .identities import (
     zhao_cao_weights,
 )
 
-IDENTITIES = (
-    "menon",
-    "sury",
-    "zhao_cao",
-    "theorem1",
-    "theorem2",
-    "lemma31",
-    "lemma33",
-    "lemma34",
-    "cohen_partition",
-)
-
 #: Identity name used by the remark reproduction and the counterexample search.
 STRICT_GEN = "strict_gen"
 
@@ -60,32 +53,6 @@ FORMATS = ("text", "csv", "json")
 
 STATUS_PASS, STATUS_FAIL, STATUS_SKIP = 0, 1, 2
 STATUS_NAMES = ("pass", "fail", "skipped")
-
-_PARAM_FIELDS = {
-    "menon": ("n", "s"),
-    "sury": ("n", "s"),
-    "zhao_cao": ("n", "s", "chi"),
-    "theorem1": ("n", "s", "chi"),
-    "theorem2": ("n", "s", "chi"),
-    "lemma31": ("p", "n_exp", "s", "m", "chi"),
-    "lemma33": ("p", "n_exp", "s", "m", "chi"),
-    "lemma34": ("n", "s", "chi"),
-    "cohen_partition": ("n", "s", "d"),
-    STRICT_GEN: ("n", "s", "chi"),
-}
-
-_N_MAX_BOUND = {
-    "menon": SUM_BOUND,
-    "sury": TUPLE_BOUND,
-    "zhao_cao": SUM_BOUND,
-    "theorem1": SUM_BOUND,
-    "theorem2": SUM_BOUND,
-    "lemma31": MODULUS_BOUND,
-    "lemma33": MODULUS_BOUND,
-    "lemma34": SUM_BOUND,
-    "cohen_partition": PARTITION_BOUND,
-    STRICT_GEN: SUM_BOUND,
-}
 
 _BATCH = 512
 
@@ -208,7 +175,7 @@ class _RecordSeq:
 
 
 # ---------------------------------------------------------------------------
-# grid enumeration
+# identity specs
 
 
 def _iroot(n: int, k: int) -> int:
@@ -220,13 +187,9 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _powers_upto(base_range, s: int, n_max: int, start: int = 1):
-    """All m**s <= n_max with m in base_range (ascending)."""
-    return [m**s for m in base_range if m**s <= n_max and m >= start]
-
-
-def _theorem2_conductor_targets(n: int, s: int) -> list[int]:
-    """All m**(t*s) with n = m**(q*s), m >= 2, 1 <= t <= q."""
+def _shaped(conds: np.ndarray, n: int, s: int) -> np.ndarray:
+    """Mask of the conductors m**(t*s) with n = m**(q*s), m >= 2, 1 <= t <= q,
+    which Theorem 2 covers.  At n = p**a, s | a, they are the p**l, s | l, l >= s."""
     targets = set()
     q = 1
     while 2 ** (q * s) <= n:
@@ -235,322 +198,206 @@ def _theorem2_conductor_targets(n: int, s: int) -> list[int]:
             for t in range(1, q + 1):
                 targets.add(m ** (t * s))
         q += 1
-    return sorted(targets)
+    return np.isin(conds, list(targets))
 
 
-def _dedupe(values) -> tuple[int, ...]:
-    seen, out = set(), []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+def _batch_grid(n_max: int, s_values) -> list[tuple]:
+    """(s, lo, hi) batches of at most _BATCH consecutive n, for scalar rows."""
+    return [(s, lo, min(lo + _BATCH - 1, n_max)) for s in s_values for lo in range(1, n_max + 1, _BATCH)]
 
 
-def _build_jobs(config: SweepConfig) -> list[tuple]:
-    ident = config.identity
-    n_max = config.n_max
-    s_values = _dedupe(config.s_values)
-    jobs: list[tuple] = []
-    if ident == "sury":
-        for s in s_values:
-            if n_max**s > TUPLE_BOUND:
-                raise ResourceError(
-                    f"sury sweep refused: {n_max}**{s} tuples exceed {TUPLE_BOUND}"
-                )
-    if ident in _GCD_SUMS:
-        for s in (1,) if ident == "menon" else s_values:
-            for lo in range(1, n_max + 1, _BATCH):
-                jobs.append(("gcd_sum", ident, s, lo, min(lo + _BATCH - 1, n_max)))
-    elif ident == "zhao_cao":
-        jobs = [("zhao_cao", n) for n in range(1, n_max + 1)]
-    elif ident == "theorem1":
-        for s in s_values:
-            base = range(1, n_max + 1) if s == 1 else range(1, _iroot(n_max, s) + 1)
-            for n in _powers_upto(base, s, n_max):
-                jobs.append(("theorem1", s, n))
-    elif ident == "theorem2":
-        for s in s_values:
-            base = range(2, n_max + 1) if s == 1 else range(2, _iroot(n_max, s) + 1)
-            for n in _powers_upto(base, s, n_max, start=2):
-                jobs.append(("theorem2", s, n))
-    elif ident in ("lemma31", "lemma33"):
-        for s in s_values:
-            for p in primes_upto(_iroot(n_max, 2 * s)):
-                n_exp = 2 * s
-                while p**n_exp <= n_max:
-                    jobs.append((ident, p, n_exp, s))
-                    n_exp += s
-    elif ident == "lemma34":
-        for s in s_values:
-            for p in primes_upto(_iroot(n_max, s)):
-                a = s
-                while p**a <= n_max:
-                    jobs.append(("lemma34", p, a, s))
-                    a += s
-    elif ident == "cohen_partition":
-        for s in s_values:
-            for n in range(1, n_max + 1):
-                jobs.append(("cohen", n, s))
-    elif ident == STRICT_GEN:
-        for s in s_values:
-            for n in range(1, n_max + 1):
-                jobs.append(("strict", n, s))
-    else:  # pragma: no cover - guarded by run_sweep validation
-        raise DomainError(f"unknown identity {ident!r}")
-    return jobs
+def _powers_grid(start: int):
+    """Grid of the s-th powers m**s <= n_max with m >= start."""
+    return lambda n_max, s_values: [
+        (m**s, s) for s in s_values for m in range(start, _iroot(n_max, s) + 1)
+    ]
+
+
+def _prime_powers(n_max: int, s_values, first: int) -> list[tuple]:
+    """(p, a, s) with p**a <= n_max and a = first*s, (first+1)*s, ..."""
+    return [
+        (p, a, s)
+        for s in s_values
+        for p in primes_upto(_iroot(n_max, first * s))
+        for a in range(first * s, n_max.bit_length(), s)
+        if p**a <= n_max
+    ]
+
+
+def _lemma_grid(n_max: int, s_values) -> list[tuple]:
+    return [(p, a, s, m) for p, a, s in _prime_powers(n_max, s_values, 2) for m in range(s, a, s)]
+
+
+def _gcd_rows(lhs_of, rhs_of):
+    """rows() of a classical gcd-sum identity with sides lhs_of(n, s), rhs_of(n, s)."""
+
+    def rows(s: int, lo: int, hi: int):
+        params = [(n, s) for n in range(lo, hi + 1)]
+        lhs = [lhs_of(n, s) for n, s in params]
+        rhs = [rhs_of(n, s) for n, s in params]
+        return params, lhs, rhs, [a == b for a, b in zip(lhs, rhs)]
+
+    return rows
+
+
+def _cohen_rows(s: int, lo: int, hi: int):
+    params = [(n, s, d) for n in range(lo, hi + 1) for d in power_divisors(n, s)]
+    ok, measured, expected = zip(*(cohen_partition_stats(*row) for row in params))
+    return params, measured, expected, ok
+
+
+def _shift_weights(p: int, n_exp: int, s: int, m: int) -> np.ndarray:
+    """Multiplicity of each residue among the shifted k*p**m + 1 of Lemmas 3.1/3.3."""
+    return np.bincount(char_shift_args(p, n_exp, s, m), minlength=p**n_exp)
+
+
+def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int:
+    l = round(math.log(d, p))
+    if l <= m:
+        return klee_phi(p ** (n_exp - m), s)
+    return -(p ** (n_exp - l)) if m == l - s else 0
+
+
+def _theorem2_rhs(d: int, n: int, s: int) -> int:
+    return klee_phi(n, s) * tau_s(n // d, s)
+
+
+class IdentitySpec(NamedTuple):
+    """One swept identity.
+
+    A scalar identity gives rows(*head) -> (params, lhs, rhs, ok).  A
+    character identity sums weights(*head), by default the F_s weights
+    (k-1, n)_s, against every character of the modulus n (or p**n_exp) and
+    compares each sum with rhs(d, *head), d the conductor; characters outside
+    qualifies(conductors, *head) are reported skipped, or left out when drop
+    is set.  Evaluators are looked up when a job runs, never bound here, so a
+    wrapped module attribute is what runs.
+    """
+
+    fields: tuple[str, ...]
+    n_max: int
+    grid: Callable  # (n_max, s_values) -> the leading params of each job, in report order
+    rows: Callable | None = None
+    weights: Callable = lambda n, s: generalized_weights(n, s)
+    qualifies: Callable | None = None  # None: every character qualifies
+    rhs: Callable | None = None
+    drop: bool = False
+
+
+_SPECS: dict[str, IdentitySpec] = {
+    "menon": IdentitySpec(
+        ("n", "s"),
+        SUM_BOUND,
+        lambda n_max, s_values: _batch_grid(n_max, (1,)),
+        rows=_gcd_rows(lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
+    ),
+    "sury": IdentitySpec(
+        ("n", "s"),
+        TUPLE_BOUND,
+        _batch_grid,
+        rows=_gcd_rows(lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
+    ),
+    "zhao_cao": IdentitySpec(
+        ("n", "s", "chi"),
+        SUM_BOUND,
+        lambda n_max, s_values: [(n, 1) for n in range(1, n_max + 1)],
+        weights=lambda n, s: zhao_cao_weights(n),
+        rhs=lambda d, n, s: euler_phi(n) * divisor_tau(n // d),
+    ),
+    "theorem1": IdentitySpec(
+        ("n", "s", "chi"),
+        SUM_BOUND,
+        _powers_grid(1),
+        qualifies=lambda conds, n, s: conds == n,
+        rhs=lambda d, n, s: klee_phi(n, s),
+        drop=True,
+    ),
+    "theorem2": IdentitySpec(
+        ("n", "s", "chi"),
+        SUM_BOUND,
+        _powers_grid(2),
+        qualifies=_shaped,
+        rhs=_theorem2_rhs,
+    ),
+    "lemma31": IdentitySpec(
+        ("p", "n_exp", "s", "m", "chi"),
+        MODULUS_BOUND,
+        _lemma_grid,
+        weights=_shift_weights,
+        qualifies=lambda conds, p, n_exp, s, m: conds == p**n_exp,
+        rhs=lambda d, p, n_exp, s, m: -1 if m == n_exp - s else 0,
+        drop=True,
+    ),
+    "lemma33": IdentitySpec(
+        ("p", "n_exp", "s", "m", "chi"),
+        MODULUS_BOUND,
+        _lemma_grid,
+        weights=_shift_weights,
+        qualifies=lambda conds, p, n_exp, s, m: _shaped(conds, p**n_exp, s),
+        rhs=_lemma33_rhs,
+    ),
+    # At n = p**a and conductor d = p**(r*s), tau_s(n/d) is Lemma 3.4's a/s - r + 1.
+    "lemma34": IdentitySpec(
+        ("n", "s", "chi"),
+        SUM_BOUND,
+        lambda n_max, s_values: [(p**a, s) for p, a, s in _prime_powers(n_max, s_values, 1)],
+        qualifies=_shaped,
+        rhs=_theorem2_rhs,
+    ),
+    "cohen_partition": IdentitySpec(("n", "s", "d"), PARTITION_BOUND, _batch_grid, rows=_cohen_rows),
+    STRICT_GEN: IdentitySpec(
+        ("n", "s", "chi"),
+        SUM_BOUND,
+        lambda n_max, s_values: [(n, s) for s in s_values for n in range(1, n_max + 1)],
+        rhs=_theorem2_rhs,
+    ),
+}
+
+IDENTITIES = tuple(name for name in _SPECS if name != STRICT_GEN)
 
 
 # ---------------------------------------------------------------------------
-# job execution (each job returns a columnar chunk)
+# job execution (each job returns columns params, lhs, residual, rhs, status)
 
 
-def _chunk(params, lhs, residual, rhs, ok, skip):
-    params = np.asarray(params, dtype=np.int32)
-    if params.size == 0:
-        params = params.reshape(0, 0)
-    n = params.shape[0]
-    return (
-        params,
-        np.asarray(lhs, dtype=np.int64).reshape(n),
-        np.asarray(residual, dtype=np.float64).reshape(n),
-        np.asarray(rhs, dtype=np.int64).reshape(n),
-        np.asarray(ok, dtype=bool).reshape(n),
-        np.asarray(skip, dtype=bool).reshape(n),
-    )
-
-
-def _rounded_parts(sums: np.ndarray, group, s: int, where=None, flat=None) -> tuple[np.ndarray, np.ndarray]:
-    """Round sums[j], the sum of character flat[j] (default j) mod group.modulus;
-    a residual >= 0.5 inside ``where`` raises IntegrityError naming its place."""
+def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round the sums, one per character of group in flat order, to (lhs,
+    residual), both 0 outside keep; a kept residual >= 0.5 raises
+    IntegrityError naming its place."""
     lhs = np.rint(sums.real).astype(np.int64)
-    residual = np.abs(sums - lhs)
-    live = residual if where is None else np.where(where, residual, 0.0)
-    if live.size and not live.max() < 0.5:
-        j = int(np.argmax(live))
-        chi = group.label(j if flat is None else int(flat[j]))
+    residual = np.where(keep, np.abs(sums - lhs), 0.0)
+    if residual.size and not residual.max() < 0.5:
+        j = int(np.argmax(residual))
         raise IntegrityError(
-            f"character sum at n={group.modulus}, s={s}, chi={chi} is not within 0.5 "
-            f"of an integer (residual {live[j]:.3e})"
+            f"character sum at n={group.modulus}, s={s}, chi={group.label(j)} is not within 0.5 "
+            f"of an integer (residual {residual[j]:.3e})"
         )
-    return lhs, residual
+    return np.where(keep, lhs, 0), residual
 
 
-def _rhs_by_conductor(conds: np.ndarray, fn) -> np.ndarray:
-    rhs = np.empty(conds.size, dtype=np.int64)
-    for d in np.unique(conds):
-        rhs[conds == d] = fn(int(d))
-    return rhs
-
-
-# (lhs, rhs) of the classical gcd-sum identities, as functions of (n, s).
-# The lambdas look the evaluators up at call time, so a wrapped module
-# attribute is what runs.
-_GCD_SUMS = {
-    "menon": (lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
-    "sury": (lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
-}
-
-
-def _job_gcd_sum(ident: str, s: int, lo: int, hi: int):
-    lhs_of, rhs_of = _GCD_SUMS[ident]
-    ns = range(lo, hi + 1)
-    lhs = [lhs_of(n, s) for n in ns]
-    rhs = [rhs_of(n, s) for n in ns]
-    params = [(n, s) for n in ns]
-    z = np.zeros(len(lhs))
-    eq = np.array([a == b for a, b in zip(lhs, rhs)])
-    return _chunk(params, lhs, z, rhs, eq, np.zeros(len(lhs), dtype=bool))
-
-
-def _job_zhao_cao(n: int):
-    group = character_group(n)
-    sums = group.all_sums(zhao_cao_weights(n))
-    lhs, residual = _rounded_parts(sums, group, 1)
+def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
+    """Columns of one job; its status is pass, fail or skipped before the tolerance test."""
+    ident, head = job
+    spec = _SPECS[ident]
+    if spec.rows is not None:
+        params, lhs, rhs, ok = spec.rows(*head)
+        lhs = np.asarray(lhs, dtype=np.int64)
+        status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
+        return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
+    group = character_group(head[0] if spec.fields[0] == "n" else head[0] ** head[1])
     conds = group.conductors()
-    phi = euler_phi(n)
-    rhs = _rhs_by_conductor(conds, lambda d: phi * divisor_tau(n // d))
-    params = np.column_stack(
-        [np.full(group.phi, n), np.ones(group.phi, dtype=np.int64), np.arange(group.phi)]
-    )
-    return _chunk(params, lhs, residual, rhs, lhs == rhs, np.zeros(group.phi, dtype=bool))
-
-
-def _job_theorem1(s: int, n: int):
-    group = character_group(n)
-    prim = group.conductors() == n
-    idx = np.nonzero(prim)[0]
-    if idx.size == 0:
-        return _chunk(np.zeros((0, 3)), [], [], [], [], [])
-    sums = group.all_sums(generalized_weights(n, s))[idx]
-    lhs, residual = _rounded_parts(sums, group, s, flat=idx)
-    rhs = np.full(idx.size, klee_phi(n, s), dtype=np.int64)
-    params = np.column_stack([np.full(idx.size, n), np.full(idx.size, s), idx])
-    return _chunk(params, lhs, residual, rhs, lhs == rhs, np.zeros(idx.size, dtype=bool))
-
-
-def _job_theorem2(s: int, n: int):
-    group = character_group(n)
-    sums = group.all_sums(generalized_weights(n, s))
-    conds = group.conductors()
-    qualified = np.isin(conds, _theorem2_conductor_targets(n, s))
-    lhs, residual = _rounded_parts(sums, group, s, where=qualified)
-    phi_s = klee_phi(n, s)
-    rhs = _rhs_by_conductor(conds, lambda d: phi_s * tau_s(n // d, s))
-    skip = ~qualified
-    lhs = np.where(skip, 0, lhs)
-    residual = np.where(skip, 0.0, residual)
-    rhs = np.where(skip, 0, rhs)
-    params = np.column_stack(
-        [np.full(group.phi, n), np.full(group.phi, s), np.arange(group.phi)]
-    )
-    return _chunk(params, lhs, residual, rhs, lhs == rhs, skip)
-
-
-def _conductor_exponents(p: int, n_exp: int, conds: np.ndarray) -> np.ndarray:
-    powers = p ** np.arange(n_exp + 1, dtype=np.int64)
-    return np.searchsorted(powers, conds)
-
-
-def _shift_sums_by_m(group, p: int, n_exp: int, s: int, m: int) -> np.ndarray:
-    q = p**n_exp
-    weights = np.bincount(char_shift_args(p, n_exp, s, m), minlength=q)
-    return group.all_sums(weights)
-
-
-def _job_lemma31(p: int, n_exp: int, s: int):
-    q = p**n_exp
-    group = character_group(q)
-    prim_idx = np.nonzero(group.conductors() == q)[0]
-    chunks = []
-    for m in range(s, n_exp, s):
-        sums = _shift_sums_by_m(group, p, n_exp, s, m)[prim_idx]
-        lhs, residual = _rounded_parts(sums, group, s, flat=prim_idx)
-        rhs = np.full(prim_idx.size, -1 if m == n_exp - s else 0, dtype=np.int64)
-        params = np.column_stack(
-            [
-                np.full(prim_idx.size, p),
-                np.full(prim_idx.size, n_exp),
-                np.full(prim_idx.size, s),
-                np.full(prim_idx.size, m),
-                prim_idx,
-            ]
-        )
-        chunks.append(
-            _chunk(params, lhs, residual, rhs, lhs == rhs, np.zeros(prim_idx.size, dtype=bool))
-        )
-    return _merge_chunks(chunks, 5)
-
-
-def _job_lemma33(p: int, n_exp: int, s: int):
-    q = p**n_exp
-    group = character_group(q)
-    conds = group.conductors()
-    ls = _conductor_exponents(p, n_exp, conds)
-    skip = (ls == 0) | (ls % s != 0)
-    chunks = []
-    for m in range(s, n_exp, s):
-        sums = _shift_sums_by_m(group, p, n_exp, s, m)
-        lhs, residual = _rounded_parts(sums, group, s, where=~skip)
-        phi_block = klee_phi(p ** (n_exp - m), s)
-        rhs = np.where(
-            ls <= m,
-            phi_block,
-            np.where(m == ls - s, -(p ** (n_exp - ls)), 0),
-        ).astype(np.int64)
-        lhs = np.where(skip, 0, lhs)
-        residual = np.where(skip, 0.0, residual)
-        rhs = np.where(skip, 0, rhs)
-        params = np.column_stack(
-            [
-                np.full(group.phi, p),
-                np.full(group.phi, n_exp),
-                np.full(group.phi, s),
-                np.full(group.phi, m),
-                np.arange(group.phi),
-            ]
-        )
-        chunks.append(_chunk(params, lhs, residual, rhs, lhs == rhs, skip))
-    return _merge_chunks(chunks, 5)
-
-
-def _job_lemma34(p: int, a: int, s: int):
-    q = p**a
-    group = character_group(q)
-    sums = group.all_sums(generalized_weights(q, s))
-    conds = group.conductors()
-    ls = _conductor_exponents(p, a, conds)
-    skip = (ls == 0) | (ls % s != 0)
-    lhs, residual = _rounded_parts(sums, group, s, where=~skip)
-    r = ls // s
-    rhs = (a // s - r + 1) * klee_phi(q, s)
-    lhs = np.where(skip, 0, lhs)
-    residual = np.where(skip, 0.0, residual)
-    rhs = np.where(skip, 0, rhs).astype(np.int64)
-    params = np.column_stack(
-        [np.full(group.phi, q), np.full(group.phi, s), np.arange(group.phi)]
-    )
-    return _chunk(params, lhs, residual, rhs, lhs == rhs, skip)
-
-
-def _job_cohen(n: int, s: int):
-    rows = []
-    for d in power_divisors(n, s):
-        ok, measured, expected = cohen_partition_stats(n, s, d)
-        rows.append(((n, s, d), measured, expected, ok))
-    params = [r[0] for r in rows]
-    lhs = [r[1] for r in rows]
-    rhs = [r[2] for r in rows]
-    ok = [r[3] for r in rows]
-    z = np.zeros(len(rows))
-    return _chunk(params, lhs, z, rhs, ok, np.zeros(len(rows), dtype=bool))
-
-
-def _job_strict(n: int, s: int):
-    group = character_group(n)
-    sums = group.all_sums(generalized_weights(n, s))
-    lhs, residual = _rounded_parts(sums, group, s)
-    conds = group.conductors()
-    phi_s = klee_phi(n, s)
-    rhs = _rhs_by_conductor(conds, lambda d: phi_s * tau_s(n // d, s))
-    params = np.column_stack(
-        [np.full(group.phi, n), np.full(group.phi, s), np.arange(group.phi)]
-    )
-    return _chunk(params, lhs, residual, rhs, lhs == rhs, np.zeros(group.phi, dtype=bool))
-
-
-_JOB_RUNNERS = {
-    "gcd_sum": _job_gcd_sum,
-    "zhao_cao": _job_zhao_cao,
-    "theorem1": _job_theorem1,
-    "theorem2": _job_theorem2,
-    "lemma31": _job_lemma31,
-    "lemma33": _job_lemma33,
-    "lemma34": _job_lemma34,
-    "cohen": _job_cohen,
-    "strict": _job_strict,
-}
-
-
-def _run_job(job: tuple):
-    kind, *args = job
-    return _JOB_RUNNERS[kind](*args)
-
-
-def _merge_chunks(chunks: list, n_fields: int):
-    if not chunks:
-        empty = np.zeros((0, n_fields), dtype=np.int32)
-        return _chunk(empty, [], [], [], [], [])
-    parts = list(zip(*chunks))
-    params = np.concatenate([p.reshape(p.shape[0], n_fields) for p in parts[0]])
-    return (
-        params,
-        np.concatenate(parts[1]),
-        np.concatenate(parts[2]),
-        np.concatenate(parts[3]),
-        np.concatenate(parts[4]),
-        np.concatenate(parts[5]),
-    )
+    keep = np.ones(conds.size, dtype=bool) if spec.qualifies is None else spec.qualifies(conds, *head)
+    sums = group.all_sums(spec.weights(*head)) if keep.any() else np.zeros(conds.size)
+    lhs, residual = _rounded_parts(sums, group, head[spec.fields.index("s")], keep)
+    rhs = np.zeros(conds.size, dtype=np.int64)
+    for d in np.unique(conds[keep]):
+        rhs[conds == d] = spec.rhs(int(d), *head)
+    status = np.where(keep, np.where(lhs == rhs, STATUS_PASS, STATUS_FAIL), STATUS_SKIP).astype(np.int8)
+    rows = np.flatnonzero(keep) if spec.drop else np.arange(conds.size)
+    params = np.empty((rows.size, len(head) + 1), dtype=np.int32)
+    params[:, :-1] = head
+    params[:, -1] = rows
+    return params, lhs[rows], residual[rows], rhs[rows], status[rows]
 
 
 def _validate_config(config: SweepConfig, identity_set) -> None:
@@ -558,7 +405,7 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
         raise DomainError(f"unknown identity {config.identity!r}; choose from {identity_set}")
     if config.n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {config.n_max}")
-    bound = _N_MAX_BOUND[config.identity]
+    bound = _SPECS[config.identity].n_max
     if config.n_max > bound:
         raise ResourceError(f"n_max {config.n_max} exceeds the {config.identity} bound {bound}")
     if not config.s_values or any(s < 1 for s in config.s_values):
@@ -569,21 +416,28 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
         raise DomainError(f"parallelism must be >= 1, got {config.parallelism}")
     if config.output not in FORMATS:
         raise DomainError(f"output must be one of {FORMATS}, got {config.output!r}")
+    if config.identity == "sury":
+        for s in config.s_values:
+            if config.n_max**s > TUPLE_BOUND:
+                raise ResourceError(f"sury sweep refused: {config.n_max}**{s} tuples exceed {TUPLE_BOUND}")
 
 
 def _execute(config: SweepConfig) -> IdentityReport:
-    fields = _PARAM_FIELDS[config.identity]
-    jobs = _build_jobs(config)
-    if config.parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            chunks = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (config.parallelism * 8))))
+    spec = _SPECS[config.identity]
+    jobs = [(config.identity, head) for head in spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))]
+    # Under fork the pool starts every worker at its first submit, so cap them.
+    workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
     else:
         chunks = [_run_job(job) for job in jobs]
-    params, lhs, residual, rhs, ok, skip = _merge_chunks(chunks, len(fields))
-    status = np.where(
-        skip, STATUS_SKIP, np.where(ok & (residual < config.tolerance), STATUS_PASS, STATUS_FAIL)
-    ).astype(np.int8)
-    return IdentityReport(config, fields, params, lhs, residual, rhs, status)
+    empty = (np.zeros((0, len(spec.fields)), np.int32),) + tuple(
+        np.zeros(0, dtype) for dtype in (np.int64, np.float64, np.int64, np.int8)
+    )
+    params, lhs, residual, rhs, status = (np.concatenate(column) for column in zip(empty, *chunks))
+    status[(status == STATUS_PASS) & ~(residual < config.tolerance)] = STATUS_FAIL
+    return IdentityReport(config, spec.fields, params, lhs, residual, rhs, status)
 
 
 def run_sweep(config: SweepConfig) -> IdentityReport:
@@ -616,7 +470,7 @@ def reproduce_remark() -> IdentityReport:
     params = np.array([[4, 2, group.flat_index(chi)]], dtype=np.int32)
     return IdentityReport(
         config,
-        _PARAM_FIELDS[STRICT_GEN],
+        _SPECS[STRICT_GEN].fields,
         params,
         np.array([res.rounded], dtype=np.int64),
         np.array([res.residual]),

@@ -39,14 +39,18 @@ def sgcd_weights(n: int, power_divisors: np.ndarray) -> np.ndarray:
 
 
 def klee_brute_count(n: int, s: int) -> int:
-    """Count of 1 <= m <= n whose gcd with n is divisible by no l**s > 1."""
+    """Count of 1 <= m <= n whose gcd with n is divisible by no l**s > 1.
+
+    Each gcd divides n, so only the l**s that divide n can divide one.
+    """
     g = np.gcd(np.arange(1, n + 1, dtype=np.int64), n)
     if s == 1:
         return int((g == 1).sum())
     unit = np.ones(n, dtype=bool)
     l = 2
     while l**s <= n:
-        unit &= g % (l**s) != 0
+        if n % l**s == 0:
+            unit &= g % (l**s) != 0
         l += 1
     return int(unit.sum())
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,7 +23,8 @@ from menonsums import (
     search_counterexamples,
     tau_s,
 )
-from menonsums.harness import STATUS_NAMES, SweepConfig
+from menonsums import harness
+from menonsums.harness import IDENTITIES, STATUS_NAMES, STRICT_GEN, SweepConfig
 from menonsums.characters import CharacterGroup
 from menonsums.cli import build_parser, char_table_bytes, main
 
@@ -100,15 +102,52 @@ class TestSweepContents:
             assert {r.status for r in report.records} <= set(STATUS_NAMES)
 
 
+def _sweep(identity, parallelism):
+    if identity == STRICT_GEN:
+        return search_counterexamples(64, (1, 2), parallelism=parallelism)
+    return run_sweep(SweepConfig(identity=identity, n_max=64, s_values=(1, 2), parallelism=parallelism))
+
+
 class TestDeterminismAndParallelism:
-    def test_parallel_output_identical(self):
-        base = dict(identity="zhao_cao", n_max=30, s_values=(1,))
-        serial = run_sweep(SweepConfig(**base, parallelism=1))
-        parallel = run_sweep(SweepConfig(**base, parallelism=3))
+    @pytest.mark.parametrize("identity", [*IDENTITIES, STRICT_GEN])
+    def test_parallel_output_identical(self, identity, monkeypatch):
+        # Two workers even on a one-CPU host; batches of 7 n give the scalar identities several jobs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_BATCH", 7)
+        serial, parallel = _sweep(identity, 1), _sweep(identity, 2)
         for fmt in ("text", "csv"):
             assert format_report(serial, fmt) == format_report(parallel, fmt)
         a, b = json.loads(format_report(serial, "json")), json.loads(format_report(parallel, "json"))
         assert a["records"] == b["records"] and a["summary"] == b["summary"]
+
+    def test_worker_pool_is_capped(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        capped = run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))
+        serial = run_sweep(SweepConfig(identity="zhao_cao", n_max=30))
+        assert pools == [4]
+        assert format_report(capped, "csv") == format_report(serial, "csv")
+        run_sweep(SweepConfig(identity="menon", n_max=30, parallelism=10**6))  # one job: no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))  # unknown CPU count: serial
+        assert pools == [4]
 
     def test_repeat_run_byte_identical(self):
         cfg = SweepConfig(identity="theorem1", n_max=81, s_values=(2,))
@@ -241,21 +280,32 @@ class TestCli:
         args = build_parser().parse_args(["search"])
         assert (args.n_max, args.s) == (36, "2")
 
-    def test_integrity_error_names_its_location(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "identity, modulus, chi",
+        [
+            ("zhao_cao", 12, "12:2^2=[1];3^1=[1]"),
+            # only primitive characters are kept: the one mod 12 has flat index 3
+            ("theorem1", 12, "12:2^2=[1];3^1=[1]"),
+            # shift weights on the modulus p**n_exp = 2**3
+            ("lemma33", 8, "8:2^3=[1,1]"),
+        ],
+        ids=["zhao_cao", "theorem1", "lemma33"],
+    )
+    def test_integrity_error_names_its_location(self, identity, modulus, chi, monkeypatch, capsys):
         exact = CharacterGroup.all_sums
 
         def off_by_point_seven(self, weights):
             sums = exact(self, weights)
-            if self.modulus == 12:
+            if self.modulus == modulus:
                 sums[3] += 0.7j
             return sums
 
         monkeypatch.setattr(CharacterGroup, "all_sums", off_by_point_seven)
-        message = "character sum at n=12, s=1, chi=12:2^2=[1];3^1=[1] is not within 0.5 of an integer (residual 7.000e-01)"
+        message = f"character sum at n={modulus}, s=1, chi={chi} is not within 0.5 of an integer (residual 7.000e-01)"
         with pytest.raises(IntegrityError) as err:
-            run_sweep(SweepConfig(identity="zhao_cao", n_max=12))
+            run_sweep(SweepConfig(identity=identity, n_max=modulus))
         assert str(err.value) == message
-        assert main(["verify", "zhao_cao", "--n-max", "12"]) == 1
+        assert main(["verify", identity, "--n-max", str(modulus)]) == 1
         assert capsys.readouterr().err == f"integrity error: {message}\n"
 
     def test_jobs_flag(self, capsys):

@@ -92,6 +92,14 @@ class TestZhaoCao:
         for n in range(1, 1001):
             assert zhao_cao_sum(n, principal_character(n)).rounded == menon_sum(n)
 
+    def test_menon_gcd_table_and_fft_paths_agree(self):
+        # Menon's identity is Zhao-Cao at the principal character (flat index 0, d = 1).
+        for n in range(1, 501):
+            group = character_group(n)
+            assert group.conductors()[0] == 1
+            fft = round(group.all_sums(zhao_cao_weights(n))[0].real)
+            assert menon_sum(n) == fft == euler_phi(n) * divisor_tau(n)
+
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):
             zhao_cao_sum(8, principal_character(4))
