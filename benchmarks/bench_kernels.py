@@ -32,10 +32,6 @@ def best_of(fn, repeat: int) -> float:
 
 def workloads():
     pds2 = np.array(power_divisors(720720, 2), dtype=np.int64)
-    rng = np.random.default_rng(1)
-    t_idx = rng.integers(-1, 5040, size=100_000)
-    weights = rng.integers(1, 100, size=100_000).astype(np.float64)
-    roots = np.exp(2j * np.pi * np.arange(5040) / 5040)
     k = kernels
     return [
         ("menon_gcd_sum", "n = 100000", lambda: k.menon_gcd_sum(100_000)),
@@ -45,7 +41,6 @@ def workloads():
         ("sgcd_weights", "n = 720720, s = 2", lambda: k.sgcd_weights(720720, pds2)),
         ("dlog_cyclic", "q = 3^12", lambda: k.dlog_cyclic(531441, 5, 354294)),
         ("dlog_two_gens", "q = 2^19", lambda: k.dlog_two_gens(1 << 19, 1 << 17)),
-        ("weighted_char_sum", "1e5 terms", lambda: k.weighted_char_sum(t_idx, weights, roots)),
     ]
 
 

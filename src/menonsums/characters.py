@@ -7,6 +7,12 @@ reproducible labeling of the whole character group.  Values are exact
 fractions of a full turn; conversion to floating complex happens only when
 sums are accumulated.
 
+The character group mod n is the product of the groups mod its prime
+powers, so the per-prime-power tables are the single source of every
+character fact: ``unit_group_structure(p, a)`` gives generators, orders and
+dlogs, ``_component_conductor_table(p, a)`` conductors.  Enumeration order,
+labels, flat indices and conductors mod n are combined from them by CRT.
+
 ``CharacterGroup`` holds per-modulus discrete-log tables so that sweeps can
 evaluate every character at every argument in vectorized form; the sums of
 all phi(n) characters against a common weight vector come out of one
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -49,12 +56,6 @@ class UnitGroupStructure:
     exponent: int
     generators: tuple[tuple[int, int], ...]
     dlog_table: np.ndarray
-
-    def dlog_vector(self, k: int) -> tuple[int, ...]:
-        r = k % self.modulus
-        if math.gcd(r, self.modulus) != 1:
-            raise DomainError(f"{k} is not a unit mod {self.modulus}")
-        return tuple(int(e) for e in self.dlog_table[r])
 
 
 def _smallest_primitive_root(p: int, a: int) -> int:
@@ -189,28 +190,29 @@ def principal_character(n: int) -> DirichletCharacter:
     return DirichletCharacter(n, tuple(comps))
 
 
+def _index_vectors(n: int) -> list[tuple[int, int, Iterator[tuple[int, ...]]]]:
+    """(p, a, index vectors in lexicographic order) for each prime power p**a of n.
+
+    The product over prime powers of these sequences, in order, is the
+    canonical flat order of the characters mod n.
+    """
+    if n > MODULUS_BOUND:
+        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    out = []
+    for p, e in factorize(n).factors:
+        orders = (range(order) for _, order in unit_group_structure(p, e).generators)
+        out.append((p, e, itertools.product(*orders)))
+    return out
+
+
 def enumerate_characters(n: int) -> list[DirichletCharacter]:
     """All phi(n) characters mod n, ordered lexicographically by index vectors.
 
     The principal character comes first; the ordering is the canonical
     labeling used everywhere in reports.
     """
-    if n > MODULUS_BOUND:
-        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
-    fac = factorize(n)
-    structures = [unit_group_structure(p, e) for p, e in fac.factors]
-    qs = [p**e for p, e in fac.factors]
-    lens = [len(st.generators) for st in structures]
-    axes = [range(order) for st in structures for _, order in st.generators]
-    out = []
-    for combo in itertools.product(*axes):
-        comps = []
-        pos = 0
-        for q, ln in zip(qs, lens):
-            comps.append((q, combo[pos : pos + ln]))
-            pos += ln
-        out.append(DirichletCharacter(n, tuple(comps)))
-    return out
+    comps = [[(p**e, idx) for idx in vecs] for p, e, vecs in _index_vectors(n)]
+    return [DirichletCharacter(n, combo) for combo in itertools.product(*comps)]
 
 
 def eval_character(chi: DirichletCharacter, k: int) -> CharValue:
@@ -240,41 +242,18 @@ def multiply_characters(a: DirichletCharacter, b: DirichletCharacter) -> Dirichl
     return DirichletCharacter(a.modulus, tuple(comps))
 
 
-def _component_conductor(p: int, a: int, idx: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    """Conductor of the mod-p**a character component with index vector idx."""
-    if not idx:
-        return 1
-    if p == 2 and a >= 3:
-        v0, v1 = idx
-        if v1 == 0:
-            return 1 if v0 == 0 else 4
-        k2 = 0
-        while v1 % 2 == 0:
-            v1 //= 2
-            k2 += 1
-        return 2 ** (a - k2)
-    v = idx[0]
-    if v == 0:
-        return 1
-    o = orders[0] // math.gcd(v, orders[0])
-    e = 0
-    while o % p == 0:
-        o //= p
-        e += 1
-    return p ** (1 + e)
-
-
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest induced modulus of chi: the least d | n with chi(k) = 1
     whenever k = 1 (mod d) and gcd(k, n) = 1.
 
-    Computed as the product of per-component conductors; the definition
-    scan ``conductor_by_definition`` must agree and is property-tested.
+    Computed as the product of per-component conductors, each read from
+    ``_component_conductor_table``; the definition scan
+    ``conductor_by_definition`` must agree and is property-tested.
     """
     out = 1
-    for q, idx, st in _component_structures(chi):
+    for _, idx, st in _component_structures(chi):
         orders = tuple(order for _, order in st.generators)
-        out *= _component_conductor(st.prime, st.exponent, idx, orders)
+        out *= int(_component_conductor_table(st.prime, st.exponent)[np.ravel_multi_index(idx, orders)])
     return out
 
 
@@ -345,12 +324,13 @@ def character_order(chi: DirichletCharacter) -> int:
     return order
 
 
+def _component_label(p: int, a: int, idx: tuple[int, ...]) -> str:
+    return f"{p}^{a}=[{','.join(map(str, idx))}]"
+
+
 def char_label(chi: DirichletCharacter) -> str:
     """Canonical report label, e.g. ``12:2^2=[0];3^1=[1]``."""
-    parts = []
-    for q, idx in chi.components:
-        (p, a), = factorize(q).factors
-        parts.append(f"{p}^{a}=[{','.join(str(v) for v in idx)}]")
+    parts = (_component_label(st.prime, st.exponent, idx) for _, idx, st in _component_structures(chi))
     return f"{chi.modulus}:" + ";".join(parts)
 
 
@@ -360,13 +340,9 @@ def character_labels(n: int) -> list[str]:
     Entry j equals ``char_label(enumerate_characters(n)[j])``; each prime
     power's label strings are built once and joined by product.
     """
-    if n > MODULUS_BOUND:
-        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
-    parts = []
-    for p, e in factorize(n).factors:
-        orders = (range(order) for _, order in unit_group_structure(p, e).generators)
-        parts.append([f"{p}^{e}=[{','.join(map(str, idx))}]" for idx in itertools.product(*orders)])
-    return [f"{n}:" + ";".join(combo) for combo in itertools.product(*parts)]
+    parts = [[_component_label(p, e, idx) for idx in vecs] for p, e, vecs in _index_vectors(n)]
+    head = f"{n}:"
+    return [head + ";".join(combo) for combo in itertools.product(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +420,29 @@ class CharacterGroup:
 
     # -- per-character paths ------------------------------------------------
 
-    def _axis_coeffs(self, chi: DirichletCharacter) -> np.ndarray:
+    def _axes(self, chi: DirichletCharacter) -> tuple[int, ...]:
+        """The index vectors of chi, concatenated in the order of self.orders."""
         if chi.modulus != self.modulus:
             raise DomainError(f"modulus mismatch: {chi.modulus} != {self.modulus}")
         flat = tuple(v for _, idx in chi.components for v in idx)
         if len(flat) != len(self.orders):
             raise DomainError("malformed character for this modulus")
-        L = self.order_lcm
-        return np.array([v * (L // o) for v, o in zip(flat, self.orders)], dtype=np.int64)
+        return flat
 
     def turn_numerators(self, chi: DirichletCharacter) -> np.ndarray:
         """t[k] with chi(k) = exp(2*pi*i*t[k]/lcm); -1 where chi(k) = 0."""
-        c = self._axis_coeffs(chi)
+        L = self.order_lcm
+        c = np.array([v * (L // o) for v, o in zip(self._axes(chi), self.orders)], dtype=np.int64)
         t = np.full(self.modulus, -1, dtype=np.int64)
-        t[self.coprime] = (self.dlogs[self.coprime] @ c) % self.order_lcm
+        t[self.coprime] = (self.dlogs[self.coprime] @ c) % L
         return t
 
     def char_sum(self, chi: DirichletCharacter, weights: np.ndarray) -> complex:
         """sum over k in [0, n) of weights[k] * chi(k)."""
         t = self.turn_numerators(chi)
+        m = t >= 0
         w = np.ascontiguousarray(weights, dtype=np.float64)
-        return complex(kernels.weighted_char_sum(t, w, _roots_of_unity(self.order_lcm)))
+        return complex(np.sum(w[m] * _roots_of_unity(self.order_lcm)[t[m]]))
 
     def char_values(self, chi: DirichletCharacter) -> np.ndarray:
         """Complex vector of chi(k) for k in [0, n), zeros at non-units."""
@@ -473,15 +451,6 @@ class CharacterGroup:
         m = t >= 0
         vals[m] = _roots_of_unity(self.order_lcm)[t[m]]
         return vals
-
-    def char_values_at(self, chi: DirichletCharacter, ks: np.ndarray) -> np.ndarray:
-        """chi evaluated at unit residues ks (each must be coprime to n)."""
-        c = self._axis_coeffs(chi)
-        rows = self.dlogs[ks]
-        if rows.size and rows.min() < 0:
-            raise DomainError("char_values_at requires unit residues")
-        t = (rows @ c) % self.order_lcm
-        return _roots_of_unity(self.order_lcm)[t]
 
     # -- whole-group paths ----------------------------------------------------
 
@@ -511,26 +480,14 @@ class CharacterGroup:
 
     def index_vectors(self, flat: int) -> tuple[tuple[int, ...], ...]:
         """Per-component index vectors of the flat character index."""
-        axes = np.unravel_index(flat, self.orders) if self.orders else ()
-        out = []
-        pos = 0
-        for size in self.component_sizes:
-            out.append(tuple(int(a) for a in axes[pos : pos + size]))
-            pos += size
-        return tuple(out)
+        axes = iter(np.unravel_index(flat, self.orders))
+        return tuple(tuple(int(next(axes)) for _ in range(size)) for size in self.component_sizes)
 
     def character(self, flat: int) -> DirichletCharacter:
-        vecs = self.index_vectors(flat)
-        comps = tuple((q, idx) for q, idx in zip(self.prime_powers, vecs))
-        return DirichletCharacter(self.modulus, comps)
+        return DirichletCharacter(self.modulus, tuple(zip(self.prime_powers, self.index_vectors(flat))))
 
     def flat_index(self, chi: DirichletCharacter) -> int:
-        if chi.modulus != self.modulus:
-            raise DomainError(f"modulus mismatch: {chi.modulus} != {self.modulus}")
-        flat = tuple(v for _, idx in chi.components for v in idx)
-        if not flat:
-            return 0
-        return int(np.ravel_multi_index(flat, self.orders))
+        return int(np.ravel_multi_index(self._axes(chi), self.orders))
 
     def labels(self) -> list[str]:
         """Label of every character, indexed like all_sums output."""

@@ -20,29 +20,19 @@ import sys
 from fractions import Fraction
 
 from .arith import euler_phi
-from .characters import char_label, character_group, character_order, enumerate_characters
+from .characters import character_group, character_order, enumerate_characters
 from .errors import DomainError, IntegrityError, ResourceError
 from .harness import (
+    _SPECS,
     FORMATS,
     IDENTITIES,
+    STRICT_GEN,
     SweepConfig,
     format_report,
     reproduce_remark,
     run_sweep,
     search_counterexamples,
 )
-
-_DEFAULT_N_MAX = {
-    "menon": 1000,
-    "sury": 30,
-    "zhao_cao": 100,
-    "theorem1": 256,
-    "theorem2": 512,
-    "lemma31": 1024,
-    "lemma33": 1024,
-    "lemma34": 1024,
-    "cohen_partition": 200,
-}
 
 
 def _parse_s_values(text: str) -> tuple[int, ...]:
@@ -81,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subs.add_parser("search", help="search for strict-generalization failures")
     _add_report_flags(search)
-    search.set_defaults(n_max=36, s="2")
+    search.set_defaults(n_max=_SPECS[STRICT_GEN].default_n_max, s="2")
 
     table = subs.add_parser("char-table", help="dump the character table of a modulus")
     table.add_argument("n", type=int)
@@ -108,6 +98,7 @@ def char_table_bytes(n: int, fmt: str) -> bytes:
     and the exact values chi(1..n) as turn fractions ('0' marks the zero value)."""
     group = character_group(n)
     conds = group.conductors()
+    labels = group.labels()
     rows = []
     for flat, chi in enumerate(enumerate_characters(n)):
         t = group.turn_numerators(chi)
@@ -121,7 +112,7 @@ def char_table_bytes(n: int, fmt: str) -> bytes:
                 tokens.append(f"{fr.numerator}/{fr.denominator}")
         rows.append(
             {
-                "chi": char_label(chi),
+                "chi": labels[flat],
                 "conductor": int(conds[flat]),
                 "primitive": bool(conds[flat] == n),
                 "order": character_order(chi),
@@ -145,7 +136,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[args.identity]
+            n_max = args.n_max if args.n_max is not None else _SPECS[args.identity].default_n_max
             config = SweepConfig(
                 identity=args.identity,
                 n_max=n_max,

@@ -1,9 +1,9 @@
 """Verification sweeps over the identity grids, with serializable reports.
 
-Every identity is one row of ``_SPECS``: its report fields, n_max bound and
-job grid, plus either scalar rows or the weights, qualifier and conductor
-rhs of a sum over all characters of one modulus.  ``_run_job`` is the one
-runner for both kinds.  Every sweep exhaustively enumerates its grid (all
+Every identity is one row of ``_SPECS``: its report fields, n_max bound
+and default, and job grid, plus either scalar rows or the weights,
+qualifier and conductor rhs of a sum over all characters of one modulus.
+``_run_job`` is the one runner for both kinds.  Every sweep exhaustively enumerates its grid (all
 qualifying n, s and characters), emits one record per instance, and
 aggregates a pass/fail/skipped summary.  Records are stored columnar (numpy
 arrays) so that the large theorem-2 grid stays cheap; ``report.records``
@@ -37,7 +37,7 @@ from .identities import (
     PARTITION_BOUND,
     SUM_BOUND,
     TUPLE_BOUND,
-    char_shift_args,
+    char_shift_weights,
     cohen_partition_stats,
     generalized_sum,
     generalized_weights,
@@ -179,6 +179,8 @@ class _RecordSeq:
 
 
 def _iroot(n: int, k: int) -> int:
+    if k >= n.bit_length():  # 2**k > n, so no r >= 2 has r**k <= n
+        return 1
     r = round(n ** (1.0 / k))
     while r > 0 and r**k > n:
         r -= 1
@@ -192,7 +194,7 @@ def _shaped(conds: np.ndarray, n: int, s: int) -> np.ndarray:
     which Theorem 2 covers.  At n = p**a, s | a, they are the p**l, s | l, l >= s."""
     targets = set()
     q = 1
-    while 2 ** (q * s) <= n:
+    while q * s < n.bit_length():  # 2**(q*s) <= n
         m = _iroot(n, q * s)
         if m >= 2 and m ** (q * s) == n:
             for t in range(1, q + 1):
@@ -246,11 +248,6 @@ def _cohen_rows(s: int, lo: int, hi: int):
     return params, measured, expected, ok
 
 
-def _shift_weights(p: int, n_exp: int, s: int, m: int) -> np.ndarray:
-    """Multiplicity of each residue among the shifted k*p**m + 1 of Lemmas 3.1/3.3."""
-    return np.bincount(char_shift_args(p, n_exp, s, m), minlength=p**n_exp)
-
-
 def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int:
     l = round(math.log(d, p))
     if l <= m:
@@ -276,6 +273,7 @@ class IdentitySpec(NamedTuple):
 
     fields: tuple[str, ...]
     n_max: int
+    default_n_max: int  # the n_max of a CLI run without --n-max
     grid: Callable  # (n_max, s_values) -> the leading params of each job, in report order
     rows: Callable | None = None
     weights: Callable = lambda n, s: generalized_weights(n, s)
@@ -288,18 +286,21 @@ _SPECS: dict[str, IdentitySpec] = {
     "menon": IdentitySpec(
         ("n", "s"),
         SUM_BOUND,
+        1000,
         lambda n_max, s_values: _batch_grid(n_max, (1,)),
         rows=_gcd_rows(lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
     ),
     "sury": IdentitySpec(
         ("n", "s"),
         TUPLE_BOUND,
+        30,
         _batch_grid,
         rows=_gcd_rows(lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
     ),
     "zhao_cao": IdentitySpec(
         ("n", "s", "chi"),
         SUM_BOUND,
+        100,
         lambda n_max, s_values: [(n, 1) for n in range(1, n_max + 1)],
         weights=lambda n, s: zhao_cao_weights(n),
         rhs=lambda d, n, s: euler_phi(n) * divisor_tau(n // d),
@@ -307,6 +308,7 @@ _SPECS: dict[str, IdentitySpec] = {
     "theorem1": IdentitySpec(
         ("n", "s", "chi"),
         SUM_BOUND,
+        256,
         _powers_grid(1),
         qualifies=lambda conds, n, s: conds == n,
         rhs=lambda d, n, s: klee_phi(n, s),
@@ -315,6 +317,7 @@ _SPECS: dict[str, IdentitySpec] = {
     "theorem2": IdentitySpec(
         ("n", "s", "chi"),
         SUM_BOUND,
+        512,
         _powers_grid(2),
         qualifies=_shaped,
         rhs=_theorem2_rhs,
@@ -322,8 +325,9 @@ _SPECS: dict[str, IdentitySpec] = {
     "lemma31": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"),
         MODULUS_BOUND,
+        1024,
         _lemma_grid,
-        weights=_shift_weights,
+        weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
         qualifies=lambda conds, p, n_exp, s, m: conds == p**n_exp,
         rhs=lambda d, p, n_exp, s, m: -1 if m == n_exp - s else 0,
         drop=True,
@@ -331,8 +335,9 @@ _SPECS: dict[str, IdentitySpec] = {
     "lemma33": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"),
         MODULUS_BOUND,
+        1024,
         _lemma_grid,
-        weights=_shift_weights,
+        weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
         qualifies=lambda conds, p, n_exp, s, m: _shaped(conds, p**n_exp, s),
         rhs=_lemma33_rhs,
     ),
@@ -340,14 +345,16 @@ _SPECS: dict[str, IdentitySpec] = {
     "lemma34": IdentitySpec(
         ("n", "s", "chi"),
         SUM_BOUND,
+        1024,
         lambda n_max, s_values: [(p**a, s) for p, a, s in _prime_powers(n_max, s_values, 1)],
         qualifies=_shaped,
         rhs=_theorem2_rhs,
     ),
-    "cohen_partition": IdentitySpec(("n", "s", "d"), PARTITION_BOUND, _batch_grid, rows=_cohen_rows),
+    "cohen_partition": IdentitySpec(("n", "s", "d"), PARTITION_BOUND, 200, _batch_grid, rows=_cohen_rows),
     STRICT_GEN: IdentitySpec(
         ("n", "s", "chi"),
         SUM_BOUND,
+        36,
         lambda n_max, s_values: [(n, s) for s in s_values for n in range(1, n_max + 1)],
         rhs=_theorem2_rhs,
     ),
@@ -418,7 +425,8 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
         raise DomainError(f"output must be one of {FORMATS}, got {config.output!r}")
     if config.identity == "sury":
         for s in config.s_values:
-            if config.n_max**s > TUPLE_BOUND:
+            # n_max**64 > TUPLE_BOUND for n_max >= 2, so the capped power decides exactly.
+            if config.n_max ** min(s, 64) > TUPLE_BOUND:
                 raise ResourceError(f"sury sweep refused: {config.n_max}**{s} tuples exceed {TUPLE_BOUND}")
 
 

@@ -86,7 +86,7 @@ def sury_sum(n: int, s_vars: int) -> int:
         raise DomainError(f"n must be >= 1, got {n}")
     if s_vars < 1:
         raise DomainError(f"s_vars must be >= 1, got {s_vars}")
-    if n**s_vars > TUPLE_BOUND:
+    if n ** min(s_vars, 64) > TUPLE_BOUND:  # exact: n**64 > TUPLE_BOUND for n >= 2
         raise ResourceError(f"tuple count {n}**{s_vars} exceeds {TUPLE_BOUND}")
     tail = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros((), dtype=np.int64)  # gcd(0, x) = x seeds the reduction
@@ -152,14 +152,14 @@ def generalized_sum(n: int, s: int, chi: DirichletCharacter) -> SumResult:
     return _finish(group.char_sum(chi, generalized_weights(n, s)))
 
 
-def char_shift_args(p: int, n_exp: int, s: int, m: int) -> np.ndarray:
-    """The residues k*p**m + 1 mod p**n_exp over 1 <= k <= p**(n_exp - m)
-    with (k, p**(n_exp - m))_s = 1, i.e. p**s not dividing k."""
+def char_shift_weights(p: int, n_exp: int, s: int, m: int) -> np.ndarray:
+    """w[r] = number of k with k*p**m + 1 = r (mod p**n_exp), over 1 <= k <=
+    p**(n_exp - m) with (k, p**(n_exp - m))_s = 1, i.e. p**s not dividing k."""
     q = p**n_exp
     block = p ** (n_exp - m)
     ks = np.arange(1, block + 1, dtype=np.int64)
     ks = ks[ks % p**s != 0]
-    return (ks * p**m + 1) % q
+    return np.bincount((ks * p**m + 1) % q, minlength=q)
 
 
 def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) -> SumResult:
@@ -182,9 +182,7 @@ def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) 
     if q > MODULUS_BOUND:
         raise ResourceError(f"p**n_exp = {q} exceeds bound {MODULUS_BOUND}")
     _check_char_modulus(q, chi, "char_shift_sum")
-    group = character_group(q)
-    vals = group.char_values_at(chi, char_shift_args(p, n_exp, s, m))
-    return _finish(complex(vals.sum()))
+    return _finish(character_group(q).char_sum(chi, char_shift_weights(p, n_exp, s, m)))
 
 
 def _is_power_divisor(n: int, s: int, d: int) -> bool:

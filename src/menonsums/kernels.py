@@ -86,9 +86,3 @@ def dlog_two_gens(q: int, order5: int) -> np.ndarray:
     table[q - x, 0] = 1
     table[x, 1] = table[q - x, 1] = np.arange(order5, dtype=np.int32)
     return table
-
-
-def weighted_char_sum(t_idx: np.ndarray, weights: np.ndarray, roots: np.ndarray) -> complex:
-    """sum of weights[k] * roots[t_idx[k]] over entries with t_idx[k] >= 0."""
-    m = t_idx >= 0
-    return complex(np.sum(weights[m] * roots[t_idx[m]]))

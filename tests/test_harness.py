@@ -1,11 +1,14 @@
 """Sweep harness: grids, reports, serialization, CLI, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +24,10 @@ from menonsums import (
     reproduce_remark,
     run_sweep,
     search_counterexamples,
+    sury_sum,
     tau_s,
 )
-from menonsums import harness
+from menonsums import cli, harness
 from menonsums.harness import IDENTITIES, STATUS_NAMES, STRICT_GEN, SweepConfig
 from menonsums.characters import CharacterGroup
 from menonsums.cli import build_parser, char_table_bytes, main
@@ -55,6 +59,25 @@ class TestConfigValidation:
             run_sweep(SweepConfig(identity="menon", n_max=5, parallelism=0))
         with pytest.raises(DomainError):
             run_sweep(SweepConfig(identity="menon", n_max=5, output="xml"))
+
+    def test_huge_sury_exponent_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"sury sweep refused: 30\*\*4000000 tuples exceed 10000000"):
+            run_sweep(SweepConfig(identity="sury", n_max=30, s_values=(4_000_000,)))
+        with pytest.raises(ResourceError, match=r"tuple count 30\*\*4000000 exceeds 10000000"):
+            sury_sum(30, 4_000_000)
+        assert time.perf_counter() - start < 0.5
+
+    def test_huge_s_allocates_no_power_of_two(self):
+        # Any s >= n_max.bit_length() leaves only n = 1 in the grid; 2**s is never built.
+        tracemalloc.start()
+        try:
+            report = run_sweep(SweepConfig(identity="theorem1", n_max=10, s_values=(10**8,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.params.tolist() == [[1, 10**8, 0]]
+        assert peak < 2 * 2**20
 
 
 class TestSweepContents:
@@ -280,6 +303,31 @@ class TestCli:
         args = build_parser().parse_args(["search"])
         assert (args.n_max, args.s) == (36, "2")
 
+    @pytest.mark.parametrize("identity", IDENTITIES)
+    def test_verify_default_n_max(self, identity, monkeypatch):
+        pinned = {
+            "menon": 1000,
+            "sury": 30,
+            "zhao_cao": 100,
+            "theorem1": 256,
+            "theorem2": 512,
+            "lemma31": 1024,
+            "lemma33": 1024,
+            "lemma34": 1024,
+            "cohen_partition": 200,
+        }
+
+        class Ran(Exception):
+            pass
+
+        def capture(config):
+            raise Ran(config)
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        with pytest.raises(Ran) as ran:
+            main(["verify", identity])
+        assert ran.value.args[0].n_max == pinned[identity]
+
     @pytest.mark.parametrize(
         "identity, modulus, chi",
         [
@@ -338,6 +386,20 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestTracerTargets:
+    def test_every_traced_name_exists(self):
+        """perfbench/trace_run.py wraps these names; a missing one drops a traced layer."""
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "trace_run.py"
+        spec = importlib.util.spec_from_file_location("trace_run_targets", path)
+        trace_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace_run)
+        for _, module, attr, _ in trace_run.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+        for _, cls, method, _ in trace_run.METHODS:
+            owner = getattr(importlib.import_module("menonsums.characters"), cls)
+            assert callable(vars(owner).get(method)), f"{cls}.{method}"
 
 
 class TestBackendSelection:

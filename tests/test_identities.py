@@ -322,11 +322,3 @@ class TestKernelsMatchDefinitions:
                     m for m in range(1, n + 1) if all(math.gcd(m, n) % l**s for l in range(2, n + 1))
                 ]
                 assert kernels.klee_brute_count(n, s) == len(no_power)
-
-    def test_weighted_char_sum(self):
-        rng = np.random.default_rng(3)
-        t = rng.integers(-1, 6, size=50)
-        w = rng.random(50)
-        roots = np.exp(2j * np.pi * np.arange(6) / 6)
-        direct = sum(w[k] * roots[t[k]] for k in range(50) if t[k] >= 0)
-        assert abs(kernels.weighted_char_sum(t, w, roots) - direct) < 1e-12

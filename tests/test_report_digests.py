@@ -1,8 +1,11 @@
-"""Golden byte guard: sha256 of format_report output for every report kind.
+"""Golden byte guard: sha256 of format_report output for every report kind,
+and of the char-table dump.
 
-The digests in data/report_digests.json were recorded from the row-at-a-time
-formatter that preceded per-modulus formatting.  A formatter change that
-alters a single byte of any identity, format or parallelism fails here.
+The report digests in data/report_digests.json were recorded from the
+row-at-a-time formatter that preceded per-modulus formatting, the char-table
+digests from the character layer that preceded the per-prime-power rewrite.
+A change that alters a single byte of any identity, format, parallelism or
+character table fails here.
 
 Regenerate (only when a report format change is intended) with
 
@@ -17,6 +20,7 @@ import pytest
 
 from menonsums import format_report, reproduce_remark, run_sweep, search_counterexamples
 from menonsums import harness
+from menonsums.cli import char_table_bytes
 from menonsums.harness import FORMATS, IDENTITIES, SweepConfig
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
@@ -37,6 +41,8 @@ def _reports():
 
 CASES = [(name, make, fmt) for name, make, fmts in _reports() for fmt in fmts]
 
+CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64) for fmt in ("csv", "json")]
+
 
 def _digest(make, fmt) -> str:
     return hashlib.sha256(format_report(make(), fmt)).hexdigest()
@@ -52,6 +58,12 @@ def test_report_bytes_match_golden_digest(name, make, fmt, run_rows, monkeypatch
     assert _digest(make, fmt) == expected[f"{name}.{fmt}"]
 
 
+@pytest.mark.parametrize("n, fmt", CHAR_TABLE_CASES, ids=[f"n{n}-{f}" for n, f in CHAR_TABLE_CASES])
+def test_char_table_bytes_match_golden_digest(n, fmt):
+    expected = json.loads(DIGESTS.read_text())
+    assert hashlib.sha256(char_table_bytes(n, fmt)).hexdigest() == expected[f"char-table-n{n}.{fmt}"]
+
+
 def test_parallel_csv_digest_equals_serial_digest():
     expected = json.loads(DIGESTS.read_text())
     assert expected["theorem2-n64-s12-jobs2.csv"] == expected["theorem2-n64-s12.csv"]
@@ -59,5 +71,7 @@ def test_parallel_csv_digest_equals_serial_digest():
 
 if __name__ == "__main__":
     digests = {f"{name}.{fmt}": _digest(make, fmt) for name, make, fmt in CASES}
+    for n, fmt in CHAR_TABLE_CASES:
+        digests[f"char-table-n{n}.{fmt}"] = hashlib.sha256(char_table_bytes(n, fmt)).hexdigest()
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")
