@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
+
+import numpy as np
 
 from .arith import euler_phi
-from .characters import character_group, character_order, enumerate_characters
+from .characters import character_group, character_order
 from .errors import DomainError, IntegrityError, ResourceError
 from .harness import (
     _SPECS,
@@ -89,38 +91,39 @@ def _emit(payload: bytes, output: str | None) -> None:
             fh.write(payload)
 
 
-def _turn_token(value) -> str:
-    return "0" if value.is_zero else f"{value.turn.numerator}/{value.turn.denominator}"
+#: Most value cells, phi(n) characters times n arguments, that char-table writes.
+TABLE_BOUND = 10**7
 
 
 def char_table_bytes(n: int, fmt: str) -> bytes:
     """Character table of modulus n: label, conductor, primitivity, order,
-    and the exact values chi(1..n) as turn fractions ('0' marks the zero value)."""
+    and the exact values chi(1..n) as turn fractions ('0' marks the zero value).
+    A table over TABLE_BOUND value cells is refused before any group is built."""
+    if n < 1:
+        raise DomainError(f"modulus must be >= 1, got {n}")
+    phi = euler_phi(n)
+    if phi * n > TABLE_BOUND:
+        raise ResourceError(f"char-table refused: phi(n)*n = {phi * n} cells exceed {TABLE_BOUND}")
     group = character_group(n)
+    L = group.order_lcm
+    # tokens[t] is the reduced turn t/L; index -1, a zero value, reads "0".
+    tokens = [f"{t // math.gcd(t, L)}/{L // math.gcd(t, L)}" for t in range(L)] + ["0"]
+    ks = np.arange(1, n + 1) % n
     conds = group.conductors()
-    labels = group.labels()
     rows = []
-    for flat, chi in enumerate(enumerate_characters(n)):
-        t = group.turn_numerators(chi)
-        tokens = []
-        for k in range(1, n + 1):
-            tk = int(t[k % n])
-            if tk < 0:
-                tokens.append("0")
-            else:
-                fr = Fraction(tk, group.order_lcm)
-                tokens.append(f"{fr.numerator}/{fr.denominator}")
+    for j, label in enumerate(group.labels()):
+        chi = group.character(j)
         rows.append(
             {
-                "chi": labels[flat],
-                "conductor": int(conds[flat]),
-                "primitive": bool(conds[flat] == n),
+                "chi": label,
+                "conductor": int(conds[j]),
+                "primitive": bool(conds[j] == n),
                 "order": character_order(chi),
-                "values": tokens,
+                "values": [tokens[t] for t in group.turn_numerators(chi)[ks].tolist()],
             }
         )
     if fmt == "json":
-        doc = {"modulus": n, "phi": euler_phi(n), "characters": rows}
+        doc = {"modulus": n, "phi": phi, "characters": rows}
         return (json.dumps(doc, sort_keys=True) + "\n").encode()
     header = ["chi", "conductor", "primitive", "order"] + [f"k{k}" for k in range(1, n + 1)]
     lines = [",".join(header)]
@@ -132,9 +135,11 @@ def char_table_bytes(n: int, fmt: str) -> bytes:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "char-table":
+            _emit(char_table_bytes(args.n, args.format), args.output)
+            return 0
         if args.command == "verify":
             n_max = args.n_max if args.n_max is not None else _SPECS[args.identity].default_n_max
             config = SweepConfig(
@@ -146,31 +151,20 @@ def main(argv=None) -> int:
                 parallelism=args.jobs,
             )
             report = run_sweep(config)
-            _emit(format_report(report, args.format), args.output)
-            return 1 if report.summary["fail"] > 0 else 0
-        if args.command == "remark":
+        elif args.command == "remark":
             report = reproduce_remark()
-            _emit(format_report(report, args.format), args.output)
-            return 0
-        if args.command == "search":
+        else:
             report = search_counterexamples(
-                args.n_max,
-                _parse_s_values(args.s),
-                tolerance=args.tolerance,
-                parallelism=args.jobs,
+                args.n_max, _parse_s_values(args.s), tolerance=args.tolerance, parallelism=args.jobs
             )
-            _emit(format_report(report, args.format), args.output)
-            return 0
-        if args.command == "char-table":
-            _emit(char_table_bytes(args.n, args.format), args.output)
-            return 0
+        _emit(format_report(report, args.format), args.output)
+        return 1 if args.command == "verify" and report.summary["fail"] > 0 else 0
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ qualifier and conductor rhs of a sum over all characters of one modulus.
 qualifying n, s and characters), emits one record per instance, and
 aggregates a pass/fail/skipped summary.  Records are stored columnar (numpy
 arrays) so that the large theorem-2 grid stays cheap; ``report.records``
-exposes them as ordinary per-record objects.  Record order is fixed by the
+decodes them into a list of per-record objects.  Record order is fixed by the
 grid, so output is byte-identical at any parallelism.
 """
 
@@ -31,7 +31,7 @@ from .arith import (
     sigma,
     tau_s,
 )
-from .characters import MODULUS_BOUND, character_group, character_labels, conductor, principal_character
+from .characters import MODULUS_BOUND, character_group, character_labels
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import (
     PARTITION_BOUND,
@@ -39,7 +39,6 @@ from .identities import (
     TUPLE_BOUND,
     char_shift_weights,
     cohen_partition_stats,
-    generalized_sum,
     generalized_weights,
     menon_sum,
     sury_sum,
@@ -108,7 +107,7 @@ class IdentityReport:
         live = self.status != STATUS_SKIP
         return float(self.residual[live].max()) if live.any() else 0.0
 
-    def _runs(self, rows: slice = slice(None)) -> Iterator[tuple[list, ...]]:
+    def _runs(self) -> Iterator[tuple[list, ...]]:
         """Decode rows to Python lists in runs of at most _RUN_ROWS rows of one modulus.
 
         Yields (modulus, params, chi, lhs, residual, rhs, status) columns: chi
@@ -116,7 +115,7 @@ class IdentityReport:
         per modulus; lhs, residual and rhs are None on skipped rows.
         """
         fields = self.param_fields
-        params = self.params[rows].reshape(-1, len(fields))
+        params = self.params.reshape(-1, len(fields))
         if "n" in fields:
             moduli = params[:, fields.index("n")]
         else:
@@ -126,8 +125,6 @@ class IdentityReport:
         if chi_at is not None:
             breaks.update((np.flatnonzero(np.diff(moduli)) + 1).tolist())
         edges = [0, *sorted(breaks), moduli.size] if moduli.size else []
-        values = (self.lhs[rows], self.residual[rows], self.rhs[rows])
-        status = self.status[rows]
         labelled = None
         for a, b in zip(edges, edges[1:]):
             run = params[a:b].tolist()
@@ -137,41 +134,25 @@ class IdentityReport:
                 chi = [labels[row[chi_at]] for row in run]
             else:
                 chi = [None] * (b - a)
-            codes = status[a:b].tolist()
-            cols = [col[a:b].tolist() for col in values]
+            codes = self.status[a:b].tolist()
+            cols = [col[a:b].tolist() for col in (self.lhs, self.residual, self.rhs)]
             if STATUS_SKIP in codes:
                 cols = [[None if k == STATUS_SKIP else v for v, k in zip(col, codes)] for col in cols]
             yield (moduli[a:b].tolist(), run, chi, *cols, [STATUS_NAMES[k] for k in codes])
 
-    def _records(self, rows: slice = slice(None)) -> Iterator[SweepRecord]:
+    def _record_dicts(self) -> Iterator[dict]:
+        """One JSON-shaped dict per row, keyed by the SweepRecord fields."""
         fields = self.param_fields
-        for _, params, *values in self._runs(rows):
+        for _, params, *values in self._runs():
             for row, chi, lhs, residual, rhs, status in zip(params, *values):
-                yield SweepRecord(self.identity, dict(zip(fields, row)), chi, lhs, residual, rhs, status)
-
-    def record(self, i: int) -> SweepRecord:
-        i = range(len(self))[i]
-        return next(self._records(slice(i, i + 1)))
+                yield {
+                    "identity": self.identity, "params": dict(zip(fields, row)), "chi": chi,
+                    "lhs": lhs, "residual": residual, "rhs": rhs, "status": status,
+                }
 
     @property
-    def records(self) -> "_RecordSeq":
-        return _RecordSeq(self)
-
-
-class _RecordSeq:
-    """Sequence view materializing SweepRecord objects on demand."""
-
-    def __init__(self, report: IdentityReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report)
-
-    def __getitem__(self, i: int) -> SweepRecord:
-        return self._report.record(i)
-
-    def __iter__(self) -> Iterator[SweepRecord]:
-        return self._report._records()
+    def records(self) -> list[SweepRecord]:
+        return [SweepRecord(**d) for d in self._record_dicts()]
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +442,16 @@ def run_sweep(config: SweepConfig) -> IdentityReport:
 def reproduce_remark() -> IdentityReport:
     """Evaluate the strict-generalization counterexample n=4, s=2, principal.
 
-    The record must come out LHS=5 vs RHS=6 with status fail; that failure
+    The record is row 0 (the principal character) of the strict_gen job at
+    n=4, s=2.  It must come out LHS=5 vs RHS=6 with status fail; that failure
     is the expected, documented outcome, so callers treat it as success.
     Any other values raise IntegrityError.
     """
-    chi = principal_character(4)
-    res = generalized_sum(4, 2, chi)
-    d = conductor(chi)
-    rhs = klee_phi(4, 2) * tau_s(4 // d, 2)
-    if res.rounded != 5 or rhs != 6:
-        raise IntegrityError(
-            f"remark reproduction expected LHS=5, RHS=6; got LHS={res.rounded}, RHS={rhs}"
-        )
+    params, lhs, residual, rhs, status = (col[:1] for col in _run_job((STRICT_GEN, (4, 2))))
+    if lhs[0] != 5 or rhs[0] != 6:
+        raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs[0]}, RHS={rhs[0]}")
     config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
-    group = character_group(4)
-    params = np.array([[4, 2, group.flat_index(chi)]], dtype=np.int32)
-    return IdentityReport(
-        config,
-        _SPECS[STRICT_GEN].fields,
-        params,
-        np.array([res.rounded], dtype=np.int64),
-        np.array([res.residual]),
-        np.array([rhs], dtype=np.int64),
-        np.array([STATUS_FAIL], dtype=np.int8),
-    )
+    return IdentityReport(config, _SPECS[STRICT_GEN].fields, params, lhs, residual, rhs, status)
 
 
 def search_counterexamples(
@@ -563,7 +530,7 @@ def _format_text(report: IdentityReport) -> bytes:
 def _format_json(report: IdentityReport) -> bytes:
     doc = {
         "config": asdict(report.config),
-        "records": [rec._asdict() for rec in report.records],
+        "records": list(report._record_dicts()),
         "summary": report.summary,
         "worst_residual": report.worst_residual,
     }

@@ -17,10 +17,13 @@ from menonsums import (
     DomainError,
     IntegrityError,
     ResourceError,
+    conductor,
     divisor_tau,
     euler_phi,
     format_report,
+    generalized_sum,
     klee_phi,
+    principal_character,
     reproduce_remark,
     run_sweep,
     search_counterexamples,
@@ -29,7 +32,7 @@ from menonsums import (
 )
 from menonsums import cli, harness
 from menonsums.harness import IDENTITIES, STATUS_NAMES, STRICT_GEN, SweepConfig
-from menonsums.characters import CharacterGroup
+from menonsums.characters import CharacterGroup, character_group
 from menonsums.cli import build_parser, char_table_bytes, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -187,6 +190,18 @@ class TestRemark:
         assert rec.chi == "4:2^2=[0]"
         assert report.worst_residual < 1e-9
 
+    def test_matches_per_character_path(self):
+        """The remark row comes from the all-characters sweep; the
+        single-character evaluators must give the same lhs, residual and rhs."""
+        chi = principal_character(4)
+        res = generalized_sum(4, 2, chi)
+        report = reproduce_remark()
+        rec = report.records[0]
+        assert rec.lhs == res.rounded
+        assert abs(rec.residual - res.residual) < 1e-12
+        assert rec.rhs == klee_phi(4, 2) * tau_s(4 // conductor(chi), 2)
+        assert report.params.tolist() == [[4, 2, character_group(4).flat_index(chi)]]
+
     def test_csv_row_shape(self):
         line = format_report(reproduce_remark(), "csv").decode().splitlines()[1]
         cells = line.split(",")
@@ -256,6 +271,17 @@ class TestFormats:
             "identity,n,s,chi,lhs,residual,rhs,status"
         ]
 
+    @pytest.mark.parametrize(
+        "identity, n_max, s",
+        [("theorem2", 36, 2), ("lemma31", 16, 1), ("cohen_partition", 16, 2)],
+        ids=["skipped-rows", "prime-power-fields", "no-chi"],
+    )
+    def test_records_agree_with_json(self, identity, n_max, s):
+        report = run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=(s,)))
+        assert isinstance(report.records, list)
+        doc = json.loads(format_report(report, "json"))
+        assert [r._asdict() for r in report.records] == doc["records"]
+
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             format_report(reproduce_remark(), "xml")
@@ -274,6 +300,12 @@ class TestCharTable:
         assert len(doc["characters"]) == 6
         orders = sorted(c["order"] for c in doc["characters"])
         assert orders == [1, 2, 3, 3, 6, 6]
+
+    def test_refuses_oversized_table(self):
+        with pytest.raises(ResourceError, match=r"phi\(n\)\*n = 100130042 cells exceed 10000000"):
+            char_table_bytes(10007, "csv")
+        with pytest.raises(DomainError):
+            char_table_bytes(0, "csv")
 
 
 class TestCli:
@@ -370,6 +402,16 @@ class TestCli:
         assert main(["char-table", "9", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["modulus"] == 9
+
+    def test_char_table_refused_before_group_build(self, monkeypatch, capsys):
+        def no_group(n):
+            raise AssertionError(f"character group mod {n} built for a refused table")
+
+        monkeypatch.setattr(cli, "character_group", no_group)
+        start = time.perf_counter()
+        assert main(["char-table", "10007"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "char-table refused" in capsys.readouterr().err
 
     def test_subprocess_entry_point(self):
         proc = subprocess.run(

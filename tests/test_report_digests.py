@@ -7,14 +7,19 @@ digests from the character layer that preceded the per-prime-power rewrite.
 A change that alters a single byte of any identity, format, parallelism or
 character table fails here.
 
-Regenerate (only when a report format change is intended) with
+Record the digests of newly added cases with
 
     PYTHONPATH=src python tests/test_report_digests.py
+
+The script is add-only: it writes just the keys that are missing.  When a
+recorded key's digest differs, it prints that key and exits 1 without
+writing.  For an intended format change, delete the key first.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -41,7 +46,7 @@ def _reports():
 
 CASES = [(name, make, fmt) for name, make, fmts in _reports() for fmt in fmts]
 
-CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64) for fmt in ("csv", "json")]
+CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64, 97, 360, 1024) for fmt in ("csv", "json")]
 
 
 def _digest(make, fmt) -> str:
@@ -70,8 +75,14 @@ def test_parallel_csv_digest_equals_serial_digest():
 
 
 if __name__ == "__main__":
+    recorded = json.loads(DIGESTS.read_text())
     digests = {f"{name}.{fmt}": _digest(make, fmt) for name, make, fmt in CASES}
     for n, fmt in CHAR_TABLE_CASES:
         digests[f"char-table-n{n}.{fmt}"] = hashlib.sha256(char_table_bytes(n, fmt)).hexdigest()
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+    changed = sorted(key for key in recorded.keys() & digests.keys() if recorded[key] != digests[key])
+    if changed:
+        print("digests differ from the recorded ones (delete a key to re-record it):", *changed, sep="\n  ")
+        sys.exit(1)
+    added = sorted(digests.keys() - recorded.keys())
+    DIGESTS.write_text(json.dumps({**recorded, **digests}, indent=1, sort_keys=True) + "\n")
+    print(f"added {len(added)} digests to {DIGESTS}:", *added, sep="\n  ")
