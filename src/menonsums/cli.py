@@ -110,28 +110,22 @@ def char_table_bytes(n: int, fmt: str) -> bytes:
     tokens = [f"{t // math.gcd(t, L)}/{L // math.gcd(t, L)}" for t in range(L)] + ["0"]
     ks = np.arange(1, n + 1) % n
     conds = group.conductors()
-    rows = []
+    # Each row is encoded as it is built, so only the rows' bytes are held.
+    header = ["chi", "conductor", "primitive", "order", *(f"k{k}" for k in range(1, n + 1))]
+    parts = [b'{"characters": [' if fmt == "json" else (",".join(header) + "\n").encode()]
     for j, label in enumerate(group.labels()):
         chi = group.character(j)
-        rows.append(
-            {
-                "chi": label,
-                "conductor": int(conds[j]),
-                "primitive": bool(conds[j] == n),
-                "order": character_order(chi),
-                "values": [tokens[t] for t in group.turn_numerators(chi)[ks].tolist()],
-            }
-        )
+        conductor, order = int(conds[j]), character_order(chi)
+        values = [tokens[t] for t in group.turn_numerators(chi)[ks].tolist()]
+        if fmt == "json":
+            row = {"chi": label, "conductor": conductor, "primitive": conductor == n, "order": order, "values": values}
+            parts.append(((", " if j else "") + json.dumps(row, sort_keys=True)).encode())
+        else:
+            cells = [f'"{label}"', str(conductor), str(conductor == n).lower(), str(order), *values]
+            parts.append((",".join(cells) + "\n").encode())
     if fmt == "json":
-        doc = {"modulus": n, "phi": phi, "characters": rows}
-        return (json.dumps(doc, sort_keys=True) + "\n").encode()
-    header = ["chi", "conductor", "primitive", "order"] + [f"k{k}" for k in range(1, n + 1)]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f'"{row["chi"]}"', str(row["conductor"]), str(row["primitive"]).lower(), str(row["order"])]
-        cells += row["values"]
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode()
+        parts.append(("], " + json.dumps({"modulus": n, "phi": phi}, sort_keys=True)[1:] + "\n").encode())
+    return b"".join(parts)
 
 
 def main(argv=None) -> int:

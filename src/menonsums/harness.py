@@ -3,12 +3,13 @@
 Every identity is one row of ``_SPECS``: its report fields, n_max bound
 and default, and job grid, plus either scalar rows or the weights,
 qualifier and conductor rhs of a sum over all characters of one modulus.
-``_run_job`` is the one runner for both kinds.  Every sweep exhaustively enumerates its grid (all
-qualifying n, s and characters), emits one record per instance, and
-aggregates a pass/fail/skipped summary.  Records are stored columnar (numpy
-arrays) so that the large theorem-2 grid stays cheap; ``report.records``
-decodes them into a list of per-record objects.  Record order is fixed by the
-grid, so output is byte-identical at any parallelism.
+``_run_job`` is the one runner for both kinds.  Every sweep exhaustively
+enumerates its grid (all qualifying n, s and characters), emits one record
+per instance, and aggregates a pass/fail/skipped summary.  Records are
+stored columnar (numpy arrays) so that the large theorem-2 grid stays cheap;
+the table builder ``_run_tables`` formats every report from per-run string
+tables, each distinct value of a run formatted once.  Record order is fixed
+by the grid, so output is byte-identical at any parallelism.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -55,7 +57,7 @@ STATUS_NAMES = ("pass", "fail", "skipped")
 
 _BATCH = 512
 
-#: Most rows decoded to Python objects at once while formatting a report.
+#: Most rows of one run, formatted together while formatting a report.
 _RUN_ROWS = 1024
 
 
@@ -107,52 +109,36 @@ class IdentityReport:
         live = self.status != STATUS_SKIP
         return float(self.residual[live].max()) if live.any() else 0.0
 
-    def _runs(self) -> Iterator[tuple[list, ...]]:
-        """Decode rows to Python lists in runs of at most _RUN_ROWS rows of one modulus.
-
-        Yields (modulus, params, chi, lhs, residual, rhs, status) columns: chi
-        is each row's label (None without a chi field), from labels built once
-        per modulus; lhs, residual and rhs are None on skipped rows.
-        """
+    def _runs(self) -> Iterator[tuple[slice, np.ndarray, list[str] | None]]:
+        """Runs (rows, moduli, labels) of at most _RUN_ROWS rows of one modulus:
+        the run's slice, its rows' moduli, and the character labels of that
+        modulus, built once per modulus (None without a chi field)."""
         fields = self.param_fields
-        params = self.params.reshape(-1, len(fields))
         if "n" in fields:
-            moduli = params[:, fields.index("n")]
+            moduli = self.params[:, fields.index("n")]
         else:
-            moduli = params[:, fields.index("p")].astype(np.int64) ** params[:, fields.index("n_exp")]
-        chi_at = fields.index("chi") if "chi" in fields else None
+            moduli = self.params[:, fields.index("p")].astype(np.int64) ** self.params[:, fields.index("n_exp")]
         breaks = set(range(_RUN_ROWS, moduli.size, _RUN_ROWS))
-        if chi_at is not None:
+        if "chi" in fields:
             breaks.update((np.flatnonzero(np.diff(moduli)) + 1).tolist())
         edges = [0, *sorted(breaks), moduli.size] if moduli.size else []
-        labelled = None
+        labelled = labels = None
         for a, b in zip(edges, edges[1:]):
-            run = params[a:b].tolist()
-            if chi_at is not None:
-                if moduli[a] != labelled:
-                    labelled, labels = moduli[a], character_labels(int(moduli[a]))
-                chi = [labels[row[chi_at]] for row in run]
-            else:
-                chi = [None] * (b - a)
-            codes = self.status[a:b].tolist()
-            cols = [col[a:b].tolist() for col in (self.lhs, self.residual, self.rhs)]
-            if STATUS_SKIP in codes:
-                cols = [[None if k == STATUS_SKIP else v for v, k in zip(col, codes)] for col in cols]
-            yield (moduli[a:b].tolist(), run, chi, *cols, [STATUS_NAMES[k] for k in codes])
-
-    def _record_dicts(self) -> Iterator[dict]:
-        """One JSON-shaped dict per row, keyed by the SweepRecord fields."""
-        fields = self.param_fields
-        for _, params, *values in self._runs():
-            for row, chi, lhs, residual, rhs, status in zip(params, *values):
-                yield {
-                    "identity": self.identity, "params": dict(zip(fields, row)), "chi": chi,
-                    "lhs": lhs, "residual": residual, "rhs": rhs, "status": status,
-                }
+            if "chi" in fields and moduli[a] != labelled:
+                labelled, labels = moduli[a], character_labels(int(moduli[a]))
+            yield slice(a, b), moduli[a:b], labels
 
     @property
     def records(self) -> list[SweepRecord]:
-        return [SweepRecord(**d) for d in self._record_dicts()]
+        records = []
+        for rows, _, labels in self._runs():
+            columns = (self.params[rows], self.lhs[rows], self.residual[rows], self.rhs[rows], self.status[rows])
+            for params, lhs, residual, rhs, code in zip(*(col.tolist() for col in columns)):
+                row = dict(zip(self.param_fields, params))
+                chi = None if labels is None else labels[row["chi"]]
+                values = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
+                records.append(SweepRecord(self.identity, row, chi, *values, STATUS_NAMES[code]))
+        return records
 
 
 # ---------------------------------------------------------------------------
@@ -478,71 +464,97 @@ def search_counterexamples(
 # serialization
 
 
-def _display_runs(report: IdentityReport) -> Iterator[Iterator[tuple[str, ...]]]:
-    """Per run of one modulus, the display cells (n, s, chi, lhs, residual,
-    rhs, status) of its rows; the m or d parameter joins the chi cell."""
+def _table(keys: np.ndarray, fmt: Callable, skip=None, blank: str = "") -> tuple[list[str], np.ndarray]:
+    """(table, index), table[index[i]] being row i's cell: fmt of each distinct
+    key (a value, or a row of a 2-D block) formatted once; skip rows read blank."""
+    values, index = np.unique(keys, return_inverse=True, axis=0 if keys.ndim > 1 else None)
+    table = [fmt(v) for v in values.tolist()]
+    if skip is not None and skip.any():
+        index[skip] = len(table)
+        table.append(blank)
+    return table, index
+
+
+def _wrap(column: tuple[list[str], np.ndarray], before: str, after: str = "") -> tuple[list[str], np.ndarray]:
+    return [f"{before}{t}{after}" for t in column[0]], column[1]
+
+
+def _joined(columns: list[tuple[list[str], np.ndarray]], sep: str, between: str = "") -> str:
+    """The rows of the (table, index) columns, cells joined by sep and rows by between."""
+    cells = [np.array(table, dtype=object)[index].tolist() for table, index in columns]
+    return between.join(map(sep.join, zip(*cells)))
+
+
+def _run_tables(report: IdentityReport, residual: Callable, blank: str) -> Iterator[tuple]:
+    """The per-run table builder of every format: per run of report._runs(),
+    (moduli, params, labels, values), values the (table, index) columns lhs,
+    residual, rhs and status, with skipped rows blank and residuals by residual."""
+    for rows, moduli, labels in report._runs():
+        status = report.status[rows]
+        columns = ((report.lhs, str), (report.residual, residual), (report.rhs, str))
+        values = [_table(col[rows], fmt, status == STATUS_SKIP, blank) for col, fmt in columns]
+        yield moduli, report.params[rows], labels, [*values, (STATUS_NAMES, status)]
+
+
+def _display_runs(report: IdentityReport, quote: bool) -> Iterator[list[tuple[list[str], np.ndarray]]]:
+    """Per run, the (table, index) columns identity, n, s, chi, lhs, residual,
+    rhs and status, each status ending its line; the m or d parameter joins
+    the chi cell, which is quoted when quote is set."""
     fields = report.param_fields
-    s_at = fields.index("s")
-    extras = [(f, fields.index(f)) for f in fields if f in ("m", "d")]
-    for moduli, params, chi, lhs, residual, rhs, status in report._runs():
-        if extras:
-            chi = [
-                " ".join(filter(None, [c, *(f"{f}={row[j]}" for f, j in extras)]))
-                for c, row in zip(chi, params)
-            ]
-        yield zip(
-            map(str, moduli),
-            [str(row[s_at]) for row in params],
-            [c or "" for c in chi],
-            ["" if v is None else str(v) for v in lhs],
-            ["" if v is None else f"{v:.3e}" for v in residual],
-            ["" if v is None else str(v) for v in rhs],
-            status,
-        )
+    named = (["chi"] if "chi" in fields else []) + [f for f in fields if f in ("m", "d")]
+    mark = '"' if quote and named else ""
+    for moduli, params, labels, (*values, status) in _run_tables(report, "{:.3e}".format, ""):
+        keys = params[:, [fields.index(f) for f in named]]
+        if named == ["chi"]:
+            chi = _table(keys[:, 0], labels.__getitem__)
+        else:
+            chi = _table(keys, lambda k: " ".join(labels[v] if f == "chi" else f"{f}={v}" for f, v in zip(named, k)))
+        identity = ([report.identity], np.zeros(moduli.size, dtype=np.intp))
+        head = [identity, _table(moduli, str), _table(params[:, fields.index("s")], str), _wrap(chi, mark, mark)]
+        yield [*head, *values, _wrap(status, "", "\n")]
 
 
 def _format_csv(report: IdentityReport) -> bytes:
-    parts = [b"identity,n,s,chi,lhs,residual,rhs,status\n"]
-    for run in _display_runs(report):
-        lines = []
-        for n, s, chi, lhs, residual, rhs, status in run:
-            chi_cell = f'"{chi}"' if chi else ""
-            lines.append(f"{report.identity},{n},{s},{chi_cell},{lhs},{residual},{rhs},{status}\n")
-        parts.append("".join(lines).encode())
-    return b"".join(parts)
+    lines = (_joined(run, ",").encode() for run in _display_runs(report, quote=True))
+    return b"".join([b"identity,n,s,chi,lhs,residual,rhs,status\n", *lines])
 
 
 def _format_text(report: IdentityReport) -> bytes:
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
-    rows = [(report.identity, *cells) for run in _display_runs(report) for cells in run]
-    widths = [max([len(h)] + [len(row[j]) for row in rows]) for j, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    summary = report.summary
-    lines.append(
-        f"summary: pass={summary['pass']} fail={summary['fail']} "
-        f"skipped={summary['skipped']} worst_residual={report.worst_residual:.3e}"
-    )
-    return ("\n".join(lines) + "\n").encode()
+    runs = list(_display_runs(report, quote=False))
+    widths = [max([len(h)] + [len(t) for run in runs for t in run[j][0]]) for j, h in enumerate(header)]
+    parts = [("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n").encode()]
+    for run in runs:
+        # Every cell but the status is padded to its column width, once per distinct cell.
+        padded = [([t.ljust(w) for t in table], index) for (table, index), w in zip(run[:-1], widths)]
+        parts.append(_joined(padded + run[-1:], "  ").encode())
+    counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
+    parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
+    return b"".join(parts)
 
 
 def _format_json(report: IdentityReport) -> bytes:
-    doc = {
-        "config": asdict(report.config),
-        "records": list(report._record_dicts()),
-        "summary": report.summary,
-        "worst_residual": report.worst_residual,
-    }
-    return (json.dumps(doc, sort_keys=True) + "\n").encode()
+    """json.dumps(..., sort_keys=True) of the report, each record assembled from
+    its tokens in sorted-key order (repr of a finite float is its json.dumps)."""
+    fields = report.param_fields
+    head = json.dumps({"config": asdict(report.config)}, sort_keys=True)[:-1] + ', "records": ['
+    tail = json.dumps({"summary": report.summary, "worst_residual": report.worst_residual}, sort_keys=True)
+    parts, sep = [head.encode()], ""
+    for _, params, labels, (lhs, residual, rhs, status) in _run_tables(report, repr, "null"):
+        chis = np.zeros(len(params), dtype=np.intp) if labels is None else params[:, fields.index("chi")]
+        chi = _table(chis, lambda j: "null" if labels is None else encode_basestring_ascii(labels[j]))
+        keyed = [_wrap(_table(params[:, fields.index(f)], str), f"{json.dumps(f)}: ") for f in sorted(fields)]
+        keyed[0], keyed[-1] = _wrap(keyed[0], '"params": {'), _wrap(keyed[-1], "", "}")
+        columns = [_wrap(chi, '{"chi": ', f', "identity": {json.dumps(report.identity)}'), _wrap(lhs, '"lhs": ')]
+        columns += [*keyed, _wrap(residual, '"residual": '), _wrap(rhs, '"rhs": '), _wrap(status, '"status": "', '"}')]
+        parts.append((sep + _joined(columns, ", ", ", ")).encode())
+        sep = ", "
+    parts.append(f"], {tail[1:]}\n".encode())
+    return b"".join(parts)
 
 
 def format_report(report: IdentityReport, fmt: str) -> bytes:
     """Serialize a report as text, csv, or json; byte-stable across runs."""
-    if fmt == "csv":
-        return _format_csv(report)
-    if fmt == "json":
-        return _format_json(report)
-    if fmt == "text":
-        return _format_text(report)
-    raise DomainError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    if fmt not in FORMATS:
+        raise DomainError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    return {"csv": _format_csv, "json": _format_json, "text": _format_text}[fmt](report)

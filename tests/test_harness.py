@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -231,6 +232,14 @@ class TestSearch:
         assert got == fixture["failures"]
 
 
+_JSON_ORACLE_CASES = [
+    *((f"{ident}-n64-s12", lambda ident=ident: run_sweep(SweepConfig(ident, 64, (1, 2)))) for ident in IDENTITIES),
+    ("search-n36-s2", lambda: search_counterexamples(36, (2,))),
+    ("remark", reproduce_remark),
+    ("theorem2-empty", lambda: run_sweep(SweepConfig(identity="theorem2", n_max=3, s_values=(2,)))),
+]
+
+
 class TestFormats:
     def test_csv_header(self):
         report = run_sweep(SweepConfig(identity="menon", n_max=3))
@@ -281,6 +290,29 @@ class TestFormats:
         assert isinstance(report.records, list)
         doc = json.loads(format_report(report, "json"))
         assert [r._asdict() for r in report.records] == doc["records"]
+
+    @pytest.mark.parametrize("name, make", _JSON_ORACLE_CASES, ids=[name for name, _ in _JSON_ORACLE_CASES])
+    def test_json_equals_record_dump(self, name, make):
+        # The record dump through json.dumps is the independent oracle of the
+        # string-table JSON formatter.
+        report = make()
+        doc = {
+            "config": asdict(report.config),
+            "records": [r._asdict() for r in report.records],
+            "summary": report.summary,
+            "worst_residual": report.worst_residual,
+        }
+        assert format_report(report, "json") == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    def test_json_peak_memory_stays_near_output_size(self):
+        report = search_counterexamples(300, (1, 2))
+        tracemalloc.start()
+        try:
+            payload = format_report(report, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(payload)
 
     def test_unknown_format(self):
         with pytest.raises(DomainError):

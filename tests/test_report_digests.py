@@ -3,7 +3,9 @@ and of the char-table dump.
 
 The report digests in data/report_digests.json were recorded from the
 row-at-a-time formatter that preceded per-modulus formatting, the char-table
-digests from the character layer that preceded the per-prime-power rewrite.
+digests from the character layer that preceded the per-prime-power rewrite,
+and the edge-values digests from the per-row formatter that preceded the
+per-value string tables.
 A change that alters a single byte of any identity, format, parallelism or
 character table fails here.
 
@@ -21,14 +23,28 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from menonsums import format_report, reproduce_remark, run_sweep, search_counterexamples
 from menonsums import harness
 from menonsums.cli import char_table_bytes
-from menonsums.harness import FORMATS, IDENTITIES, SweepConfig
+from menonsums.harness import FORMATS, IDENTITIES, IdentityReport, SweepConfig
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
+
+
+def _edge_report() -> IdentityReport:
+    """A report built directly from columns, over moduli 7 and 9: residuals
+    0.0, 1e-300, the subnormal 5e-324, 9.9995e-07 (rounds up at .3e) and
+    0.49999, negative lhs and rhs, skipped rows, and repeated values."""
+    config = SweepConfig(identity="theorem2", n_max=9, s_values=(1, 2))
+    params = np.array([(7, 1, j) for j in range(6)] + [(9, 2, j) for j in range(6)], dtype=np.int32)
+    lhs = np.array([6, -3, 0, 5, 5, -12, 18, 0, -1, -1, 2**40, -(2**40)], dtype=np.int64)
+    rhs = np.array([6, -3, 0, 6, 5, -12, 18, 0, -1, 0, 2**40, -(2**40)], dtype=np.int64)
+    residual = np.array([0.0, 1e-300, 0.0, 5e-324, 9.9995e-07, 0.49999, 0.0, 0.0, 1e-300, 2.5e-07, 9.9995e-07, 0.49999])
+    status = np.array([0, 0, 2, 1, 0, 1, 0, 2, 0, 1, 0, 1], dtype=np.int8)
+    return IdentityReport(config, ("n", "s", "chi"), params, lhs, residual, rhs, status)
 
 
 def _reports():
@@ -40,6 +56,7 @@ def _reports():
     yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS
     yield "remark", reproduce_remark, FORMATS
     yield "search-n36-s2", (lambda: search_counterexamples(36, (2,))), FORMATS
+    yield "edge-values", _edge_report, FORMATS
     jobs2 = SweepConfig(identity="theorem2", n_max=64, s_values=(1, 2), parallelism=2)
     yield "theorem2-n64-s12-jobs2", (lambda: run_sweep(jobs2)), ("csv",)
 
