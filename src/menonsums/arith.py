@@ -85,15 +85,6 @@ def primes_upto(n: int) -> list[int]:
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
-def divisors(n: int) -> list[int]:
-    """Ascending list of divisors of n."""
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
-
-
 def power_divisors(n: int, s: int) -> list[int]:
     """Ascending list of the divisors of n that are exact s-th powers."""
     if s < 1:
@@ -168,6 +159,11 @@ def tau_s(n: int, s: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler's totient; the s = 1 case of klee_phi."""
     return klee_phi(n, 1)
+
+
+def divisors(n: int) -> list[int]:
+    """Ascending list of divisors of n; the s = 1 case of power_divisors."""
+    return power_divisors(n, 1)
 
 
 def divisor_tau(n: int) -> int:

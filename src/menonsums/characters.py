@@ -338,11 +338,21 @@ def character_labels(n: int) -> list[str]:
     """Labels of all phi(n) characters mod n in the canonical flat order.
 
     Entry j equals ``char_label(enumerate_characters(n)[j])``; each prime
-    power's label strings are built once and joined by product.
+    power's cells are built by comprehension over its generator orders and
+    the prime powers are concatenated in product order.
     """
-    parts = [[_component_label(p, e, idx) for idx in vecs] for p, e, vecs in _index_vectors(n)]
-    head = f"{n}:"
-    return [head + ";".join(combo) for combo in itertools.product(*parts)]
+    if n > MODULUS_BOUND:
+        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    labels: list[str] = []
+    for p, e in factorize(n).factors:
+        head = f";{p}^{e}=[" if labels else f"{n}:{p}^{e}=["
+        orders = [range(order) for _, order in unit_group_structure(p, e).generators]
+        if len(orders) == 2:  # 2**a, a >= 3; every other unit group is cyclic
+            cells = [f"{head}{u},{v}]" for u in orders[0] for v in orders[1]]
+        else:
+            cells = [f"{head}{u}]" for u in (orders[0] if orders else [""])]
+        labels = [a + b for a in labels for b in cells] if labels else cells
+    return labels or [f"{n}:"]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +418,6 @@ class CharacterGroup:
         strides = np.ones(len(self.orders), dtype=np.int64)
         for i in range(len(self.orders) - 2, -1, -1):
             strides[i] = strides[i + 1] * self.orders[i + 1]
-        self._strides = strides
         lin = np.full(n, -1, dtype=np.int64)
         if n == 1:
             lin[0] = 0

@@ -7,9 +7,10 @@ qualifier and conductor rhs of a sum over all characters of one modulus.
 enumerates its grid (all qualifying n, s and characters), emits one record
 per instance, and aggregates a pass/fail/skipped summary.  Records are
 stored columnar (numpy arrays) so that the large theorem-2 grid stays cheap;
-the table builder ``_run_tables`` formats every report from per-run string
-tables, each distinct value of a run formatted once.  Record order is fixed
-by the grid, so output is byte-identical at any parallelism.
+a grid over ``ROW_BUDGET`` rows is refused before any job runs.  Reports are
+formatted one run of rows at a time, each row by one f-string or template
+per format.  Record order is fixed by the grid, so output is byte-identical
+at any parallelism.
 """
 
 from __future__ import annotations
@@ -24,28 +25,11 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import (
-    divisor_tau,
-    euler_phi,
-    klee_phi,
-    power_divisors,
-    primes_upto,
-    sigma,
-    tau_s,
-)
+from .arith import divisor_tau, euler_phi, klee_phi, power_divisors, primes_upto, sigma, tau_s
 from .characters import MODULUS_BOUND, character_group, character_labels
 from .errors import DomainError, IntegrityError, ResourceError
-from .identities import (
-    PARTITION_BOUND,
-    SUM_BOUND,
-    TUPLE_BOUND,
-    char_shift_weights,
-    cohen_partition_stats,
-    generalized_weights,
-    menon_sum,
-    sury_sum,
-    zhao_cao_weights,
-)
+from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
+from .identities import generalized_weights, menon_sum, sury_sum, zhao_cao_weights
 
 #: Identity name used by the remark reproduction and the counterexample search.
 STRICT_GEN = "strict_gen"
@@ -59,6 +43,9 @@ _BATCH = 512
 
 #: Most rows of one run, formatted together while formatting a report.
 _RUN_ROWS = 1024
+
+#: Most rows a sweep may have; a larger grid is refused before any job runs.
+ROW_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -177,9 +164,7 @@ def _batch_grid(n_max: int, s_values) -> list[tuple]:
 
 def _powers_grid(start: int):
     """Grid of the s-th powers m**s <= n_max with m >= start."""
-    return lambda n_max, s_values: [
-        (m**s, s) for s in s_values for m in range(start, _iroot(n_max, s) + 1)
-    ]
+    return lambda n_max, s_values: [(m**s, s) for s in s_values for m in range(start, _iroot(n_max, s) + 1)]
 
 
 def _prime_powers(n_max: int, s_values, first: int) -> list[tuple]:
@@ -229,13 +214,13 @@ def _theorem2_rhs(d: int, n: int, s: int) -> int:
 class IdentitySpec(NamedTuple):
     """One swept identity.
 
-    A scalar identity gives rows(*head) -> (params, lhs, rhs, ok).  A
-    character identity sums weights(*head), by default the F_s weights
-    (k-1, n)_s, against every character of the modulus n (or p**n_exp) and
-    compares each sum with rhs(d, *head), d the conductor; characters outside
-    qualifies(conductors, *head) are reported skipped, or left out when drop
-    is set.  Evaluators are looked up when a job runs, never bound here, so a
-    wrapped module attribute is what runs.
+    A scalar identity gives rows(*head) -> (params, lhs, rhs, ok), and
+    count(n, s) rows at n.  A character identity sums weights(*head), by
+    default the F_s weights (k-1, n)_s, against every character of the
+    modulus n (or p**n_exp) and compares each sum with rhs(d, *head), d the
+    conductor; characters outside qualifies(conductors, *head) are reported
+    skipped, or left out when drop is set.  Evaluators are looked up when a
+    job runs, never bound here, so a wrapped module attribute is what runs.
     """
 
     fields: tuple[str, ...]
@@ -247,52 +232,41 @@ class IdentitySpec(NamedTuple):
     qualifies: Callable | None = None  # None: every character qualifies
     rhs: Callable | None = None
     drop: bool = False
+    count: Callable = lambda n, s: 1  # rows of a scalar identity at n
 
 
 _SPECS: dict[str, IdentitySpec] = {
     "menon": IdentitySpec(
-        ("n", "s"),
-        SUM_BOUND,
-        1000,
+        ("n", "s"), SUM_BOUND, 1000,
         lambda n_max, s_values: _batch_grid(n_max, (1,)),
         rows=_gcd_rows(lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
     ),
     "sury": IdentitySpec(
-        ("n", "s"),
-        TUPLE_BOUND,
-        30,
+        ("n", "s"), TUPLE_BOUND, 30,
         _batch_grid,
         rows=_gcd_rows(lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
     ),
     "zhao_cao": IdentitySpec(
-        ("n", "s", "chi"),
-        SUM_BOUND,
-        100,
+        ("n", "s", "chi"), SUM_BOUND, 100,
         lambda n_max, s_values: [(n, 1) for n in range(1, n_max + 1)],
         weights=lambda n, s: zhao_cao_weights(n),
         rhs=lambda d, n, s: euler_phi(n) * divisor_tau(n // d),
     ),
     "theorem1": IdentitySpec(
-        ("n", "s", "chi"),
-        SUM_BOUND,
-        256,
+        ("n", "s", "chi"), SUM_BOUND, 256,
         _powers_grid(1),
         qualifies=lambda conds, n, s: conds == n,
         rhs=lambda d, n, s: klee_phi(n, s),
         drop=True,
     ),
     "theorem2": IdentitySpec(
-        ("n", "s", "chi"),
-        SUM_BOUND,
-        512,
+        ("n", "s", "chi"), SUM_BOUND, 512,
         _powers_grid(2),
         qualifies=_shaped,
         rhs=_theorem2_rhs,
     ),
     "lemma31": IdentitySpec(
-        ("p", "n_exp", "s", "m", "chi"),
-        MODULUS_BOUND,
-        1024,
+        ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
         weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
         qualifies=lambda conds, p, n_exp, s, m: conds == p**n_exp,
@@ -300,9 +274,7 @@ _SPECS: dict[str, IdentitySpec] = {
         drop=True,
     ),
     "lemma33": IdentitySpec(
-        ("p", "n_exp", "s", "m", "chi"),
-        MODULUS_BOUND,
-        1024,
+        ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
         weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
         qualifies=lambda conds, p, n_exp, s, m: _shaped(conds, p**n_exp, s),
@@ -310,18 +282,19 @@ _SPECS: dict[str, IdentitySpec] = {
     ),
     # At n = p**a and conductor d = p**(r*s), tau_s(n/d) is Lemma 3.4's a/s - r + 1.
     "lemma34": IdentitySpec(
-        ("n", "s", "chi"),
-        SUM_BOUND,
-        1024,
+        ("n", "s", "chi"), SUM_BOUND, 1024,
         lambda n_max, s_values: [(p**a, s) for p, a, s in _prime_powers(n_max, s_values, 1)],
         qualifies=_shaped,
         rhs=_theorem2_rhs,
     ),
-    "cohen_partition": IdentitySpec(("n", "s", "d"), PARTITION_BOUND, 200, _batch_grid, rows=_cohen_rows),
+    "cohen_partition": IdentitySpec(
+        ("n", "s", "d"), PARTITION_BOUND, 200,
+        _batch_grid,
+        rows=_cohen_rows,
+        count=lambda n, s: tau_s(n, s),
+    ),
     STRICT_GEN: IdentitySpec(
-        ("n", "s", "chi"),
-        SUM_BOUND,
-        36,
+        ("n", "s", "chi"), SUM_BOUND, 36,
         lambda n_max, s_values: [(n, s) for s in s_values for n in range(1, n_max + 1)],
         rhs=_theorem2_rhs,
     ),
@@ -349,6 +322,11 @@ def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[n
     return np.where(keep, lhs, 0), residual
 
 
+def _modulus(spec: IdentitySpec, head: tuple) -> int:
+    """The modulus of a character job: n, or p**n_exp."""
+    return head[0] if spec.fields[0] == "n" else head[0] ** head[1]
+
+
 def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
     """Columns of one job; its status is pass, fail or skipped before the tolerance test."""
     ident, head = job
@@ -358,7 +336,7 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
         lhs = np.asarray(lhs, dtype=np.int64)
         status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
         return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
-    group = character_group(head[0] if spec.fields[0] == "n" else head[0] ** head[1])
+    group = character_group(_modulus(spec, head))
     conds = group.conductors()
     keep = np.ones(conds.size, dtype=bool) if spec.qualifies is None else spec.qualifies(conds, *head)
     sums = group.all_sums(spec.weights(*head)) if keep.any() else np.zeros(conds.size)
@@ -397,9 +375,25 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
                 raise ResourceError(f"sury sweep refused: {config.n_max}**{s} tuples exceed {TUPLE_BOUND}")
 
 
+def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
+    """Refuse a grid of more than ROW_BUDGET rows before any job runs, counting
+    phi(modulus) per character job (dropped rows included) and spec.count per
+    n of a scalar job (s, lo, hi); counting stops once past the budget."""
+    total = 0
+    for head in heads:
+        if spec.rows is None:
+            total += euler_phi(_modulus(spec, head))
+        else:
+            total += sum(spec.count(n, head[0]) for n in range(head[1], head[2] + 1))
+        if total > ROW_BUDGET:
+            raise ResourceError(f"{identity} sweep refused: {total} rows counted exceed the budget {ROW_BUDGET}")
+
+
 def _execute(config: SweepConfig) -> IdentityReport:
     spec = _SPECS[config.identity]
-    jobs = [(config.identity, head) for head in spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))]
+    heads = spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))
+    _admit(config.identity, spec, heads)
+    jobs = [(config.identity, head) for head in heads]
     # Under fork the pool starts every worker at its first submit, so cap them.
     workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -440,22 +434,14 @@ def reproduce_remark() -> IdentityReport:
     return IdentityReport(config, _SPECS[STRICT_GEN].fields, params, lhs, residual, rhs, status)
 
 
-def search_counterexamples(
-    n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1
-) -> IdentityReport:
+def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
     """Test the falsified identity sum = Phi_s(n) * tau_s(n/d) over every
     modulus n <= n_max and every character, with no shape restriction.
 
     Failing records are the findings; they are expected and do not signal
     an implementation problem.
     """
-    config = SweepConfig(
-        identity=STRICT_GEN,
-        n_max=n_max,
-        s_values=tuple(s_values),
-        tolerance=tolerance,
-        parallelism=parallelism,
-    )
+    config = SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism)
     _validate_config(config, (STRICT_GEN,))
     return _execute(config)
 
@@ -464,90 +450,96 @@ def search_counterexamples(
 # serialization
 
 
-def _table(keys: np.ndarray, fmt: Callable, skip=None, blank: str = "") -> tuple[list[str], np.ndarray]:
-    """(table, index), table[index[i]] being row i's cell: fmt of each distinct
-    key (a value, or a row of a 2-D block) formatted once; skip rows read blank."""
-    values, index = np.unique(keys, return_inverse=True, axis=0 if keys.ndim > 1 else None)
-    table = [fmt(v) for v in values.tolist()]
-    if skip is not None and skip.any():
-        index[skip] = len(table)
-        table.append(blank)
-    return table, index
-
-
-def _wrap(column: tuple[list[str], np.ndarray], before: str, after: str = "") -> tuple[list[str], np.ndarray]:
-    return [f"{before}{t}{after}" for t in column[0]], column[1]
-
-
-def _joined(columns: list[tuple[list[str], np.ndarray]], sep: str, between: str = "") -> str:
-    """The rows of the (table, index) columns, cells joined by sep and rows by between."""
-    cells = [np.array(table, dtype=object)[index].tolist() for table, index in columns]
-    return between.join(map(sep.join, zip(*cells)))
-
-
-def _run_tables(report: IdentityReport, residual: Callable, blank: str) -> Iterator[tuple]:
-    """The per-run table builder of every format: per run of report._runs(),
-    (moduli, params, labels, values), values the (table, index) columns lhs,
-    residual, rhs and status, with skipped rows blank and residuals by residual."""
-    for rows, moduli, labels in report._runs():
-        status = report.status[rows]
-        columns = ((report.lhs, str), (report.residual, residual), (report.rhs, str))
-        values = [_table(col[rows], fmt, status == STATUS_SKIP, blank) for col, fmt in columns]
-        yield moduli, report.params[rows], labels, [*values, (STATUS_NAMES, status)]
-
-
-def _display_runs(report: IdentityReport, quote: bool) -> Iterator[list[tuple[list[str], np.ndarray]]]:
-    """Per run, the (table, index) columns identity, n, s, chi, lhs, residual,
-    rhs and status, each status ending its line; the m or d parameter joins
-    the chi cell, which is quoted when quote is set."""
+def _columns(report: IdentityReport) -> Iterator[tuple[list, ...]]:
+    """Per run of report._runs(), the plain lists n, s, chi cell, lhs, residual,
+    rhs and status code.  The chi cell is the label, then the m or d parameter
+    as m=... or d=... ("" when the report has none of chi, m and d)."""
     fields = report.param_fields
-    named = (["chi"] if "chi" in fields else []) + [f for f in fields if f in ("m", "d")]
-    mark = '"' if quote and named else ""
-    for moduli, params, labels, (*values, status) in _run_tables(report, "{:.3e}".format, ""):
-        keys = params[:, [fields.index(f) for f in named]]
-        if named == ["chi"]:
-            chi = _table(keys[:, 0], labels.__getitem__)
-        else:
-            chi = _table(keys, lambda k: " ".join(labels[v] if f == "chi" else f"{f}={v}" for f, v in zip(named, k)))
-        identity = ([report.identity], np.zeros(moduli.size, dtype=np.intp))
-        head = [identity, _table(moduli, str), _table(params[:, fields.index("s")], str), _wrap(chi, mark, mark)]
-        yield [*head, *values, _wrap(status, "", "\n")]
+    for rows, moduli, labels in report._runs():
+        params = report.params[rows]
+        chi = None if labels is None else [labels[j] for j in params[:, fields.index("chi")].tolist()]
+        for f in (f for f in fields if f in ("m", "d")):  # at most one of them
+            cells = params[:, fields.index(f)].tolist()
+            chi = [f"{f}={v}" for v in cells] if chi is None else [f"{c} {f}={v}" for c, v in zip(chi, cells)]
+        chi = [""] * moduli.size if chi is None else chi
+        values = (col[rows].tolist() for col in (report.lhs, report.residual, report.rhs, report.status))
+        yield moduli.tolist(), params[:, fields.index("s")].tolist(), chi, *values
 
 
 def _format_csv(report: IdentityReport) -> bytes:
-    lines = (_joined(run, ",").encode() for run in _display_runs(report, quote=True))
-    return b"".join([b"identity,n,s,chi,lhs,residual,rhs,status\n", *lines])
+    quote = '"' if {"chi", "m", "d"} & set(report.param_fields) else ""
+    parts = [b"identity,n,s,chi,lhs,residual,rhs,status\n"]
+    for columns in _columns(report):
+        lines = [
+            f"{report.identity},{n},{s},{quote}{chi}{quote},,,,skipped\n"
+            if code == STATUS_SKIP
+            else f"{report.identity},{n},{s},{quote}{chi}{quote},{l},{r:.3e},{h},{STATUS_NAMES[code]}\n"
+            for n, s, chi, l, r, h, code in zip(*columns)
+        ]
+        parts.append("".join(lines).encode())
+    return b"".join(parts)
 
 
 def _format_text(report: IdentityReport) -> bytes:
+    """Columns padded to their widest cell; pass 1 finds the widths, pass 2
+    formats each run's rows through a template with the widths baked in."""
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
-    runs = list(_display_runs(report, quote=False))
-    widths = [max([len(h)] + [len(t) for run in runs for t in run[j][0]]) for j, h in enumerate(header)]
+    live = report.status != STATUS_SKIP
+    # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
+    cells: list[list[str]] = [[report.identity], [], [], [], [], [], [], []]
+    for n, s, chi, *_ in _columns(report):
+        cells[1].append(str(max(n)))
+        cells[2].extend(map(str, set(s)))
+        cells[3].append(max(chi, key=len))
+    if live.any():
+        cells[4] = [str(report.lhs[live].min()), str(report.lhs[live].max())]
+        cells[5] = [f"{v:.3e}" for v in np.unique(report.residual[live]).tolist()]
+        cells[6] = [str(report.rhs[live].min()), str(report.rhs[live].max())]
+    widths = [max([len(h), *map(len, c)]) for h, c in zip(header, cells)]
     parts = [("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n").encode()]
-    for run in runs:
-        # Every cell but the status is padded to its column width, once per distinct cell.
-        padded = [([t.ljust(w) for t in table], index) for (table, index), w in zip(run[:-1], widths)]
-        parts.append(_joined(padded + run[-1:], "  ").encode())
+    # Pass 2: "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w).
+    wi, wn, ws, wc, wl, wr, wh, _ = widths
+    lead = f"{report.identity.ljust(wi)}  %-{wn}d  %-{ws}d  %-{wc}s  "
+    row = lead + f"%-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
+    blank = lead + " " * (wl + wr + wh + 6) + "skipped\n"
+    for columns in _columns(report):
+        lines = [
+            blank % (n, s, chi) if code == STATUS_SKIP else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
+            for n, s, chi, l, r, h, code in zip(*columns)
+        ]
+        parts.append("".join(lines).encode())
     counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
     parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
     return b"".join(parts)
 
 
 def _format_json(report: IdentityReport) -> bytes:
-    """json.dumps(..., sort_keys=True) of the report, each record assembled from
-    its tokens in sorted-key order (repr of a finite float is its json.dumps)."""
+    """json.dumps(..., sort_keys=True) of the report, each record one f-string
+    in sorted-key order (repr of a finite float is its json.dumps)."""
     fields = report.param_fields
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    params = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
+    ident = json.dumps(report.identity)
     head = json.dumps({"config": asdict(report.config)}, sort_keys=True)[:-1] + ', "records": ['
     tail = json.dumps({"summary": report.summary, "worst_residual": report.worst_residual}, sort_keys=True)
     parts, sep = [head.encode()], ""
-    for _, params, labels, (lhs, residual, rhs, status) in _run_tables(report, repr, "null"):
-        chis = np.zeros(len(params), dtype=np.intp) if labels is None else params[:, fields.index("chi")]
-        chi = _table(chis, lambda j: "null" if labels is None else encode_basestring_ascii(labels[j]))
-        keyed = [_wrap(_table(params[:, fields.index(f)], str), f"{json.dumps(f)}: ") for f in sorted(fields)]
-        keyed[0], keyed[-1] = _wrap(keyed[0], '"params": {'), _wrap(keyed[-1], "", "}")
-        columns = [_wrap(chi, '{"chi": ', f', "identity": {json.dumps(report.identity)}'), _wrap(lhs, '"lhs": ')]
-        columns += [*keyed, _wrap(residual, '"residual": '), _wrap(rhs, '"rhs": '), _wrap(status, '"status": "', '"}')]
-        parts.append((sep + _joined(columns, ", ", ", ")).encode())
+    for rows, _, labels in report._runs():
+        block = report.params[rows]
+        keyed = list(map(params.format, *block[:, order].T.tolist()))
+        if labels is None:
+            chis = ["null"] * len(keyed)
+        else:
+            chis = [encode_basestring_ascii(labels[j]) for j in block[:, fields.index("chi")].tolist()]
+        values = (col[rows].tolist() for col in (report.lhs, report.residual, report.rhs, report.status))
+        records = [
+            f'{{"chi": {c}, "identity": {ident}, "lhs": null, "params": {p}, "residual": null, '
+            f'"rhs": null, "status": "skipped"}}'
+            if code == STATUS_SKIP
+            else f'{{"chi": {c}, "identity": {ident}, "lhs": {l}, "params": {p}, "residual": {r!r}, '
+            f'"rhs": {h}, "status": "{STATUS_NAMES[code]}"}}'
+            for c, p, l, r, h, code in zip(chis, keyed, *values)
+        ]
+        parts.append((sep + ", ".join(records)).encode())
         sep = ", "
     parts.append(f"], {tail[1:]}\n".encode())
     return b"".join(parts)

@@ -329,8 +329,9 @@ class TestLabels:
         chi16 = enumerate_characters(16)[-1]
         assert char_label(chi16) == "16:2^4=[1,3]"
 
-    # 2**a has two generators from a = 3; 840 = 2^3*3*5*7 has four prime factors.
-    @pytest.mark.parametrize("n", [*range(1, 201), *(2**a for a in range(1, 11)), 840])
+    # 2**a has two generators from a = 3; 840 = 2^3*3*5*7 has four prime factors;
+    # 2592 = 2^5*3^4 pairs a two-generator 2-part with a cyclic one, and 2**16 has 32768 characters.
+    @pytest.mark.parametrize("n", [*range(1, 201), *(2**a for a in range(1, 11)), 840, 2592, 65536])
     def test_character_labels_match_char_label(self, n):
         expected = [char_label(chi) for chi in enumerate_characters(n)]
         assert character_labels(n) == expected

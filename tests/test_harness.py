@@ -83,6 +83,42 @@ class TestConfigValidation:
         assert report.params.tolist() == [[1, 10**8, 0]]
         assert peak < 2 * 2**20
 
+    def test_oversized_grid_refused_before_any_job(self, monkeypatch, capsys):
+        def no_job(job):
+            raise AssertionError(f"job {job} ran for a refused grid")
+
+        monkeypatch.setattr(harness, "_run_job", no_job)
+        start = time.perf_counter()
+        assert main(["verify", "lemma34", "--n-max", "100000", "--s", "1,2,3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: lemma34 sweep refused: ")
+        assert err.endswith(f" rows counted exceed the budget {harness.ROW_BUDGET}\n")
+        with pytest.raises(ResourceError, match="strict_gen sweep refused"):
+            search_counterexamples(10**5, (1,))
+
+    @pytest.mark.parametrize("identity, n_max", [("theorem2", 4096), ("lemma34", 10**4)])
+    def test_row_budget_admits_the_largest_checked_grids(self, identity, n_max, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(job):
+            raise Admitted(job)
+
+        monkeypatch.setattr(harness, "_run_job", admitted)
+        with pytest.raises(Admitted):
+            run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=(1, 2, 3)))
+
+    @pytest.mark.parametrize("identity", ["theorem2", "lemma33", "cohen_partition", "menon"])
+    def test_row_count_is_exact_without_drop(self, identity, monkeypatch):
+        config = SweepConfig(identity=identity, n_max=64, s_values=(1, 2))
+        rows = len(run_sweep(config))
+        monkeypatch.setattr(harness, "ROW_BUDGET", rows)
+        assert len(run_sweep(config)) == rows
+        monkeypatch.setattr(harness, "ROW_BUDGET", rows - 1)
+        with pytest.raises(ResourceError, match=f"{identity} sweep refused: {rows} rows counted"):
+            run_sweep(config)
+
 
 class TestSweepContents:
     def test_menon_single_record(self):
@@ -309,6 +345,16 @@ class TestFormats:
         tracemalloc.start()
         try:
             payload = format_report(report, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(payload)
+
+    def test_text_peak_memory_stays_near_output_size(self):
+        report = run_sweep(SweepConfig(identity="theorem2", n_max=256, s_values=(1, 2, 3)))
+        tracemalloc.start()
+        try:
+            payload = format_report(report, "text")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
