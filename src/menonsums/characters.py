@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -190,28 +189,18 @@ def principal_character(n: int) -> DirichletCharacter:
     return DirichletCharacter(n, tuple(comps))
 
 
-def _index_vectors(n: int) -> list[tuple[int, int, Iterator[tuple[int, ...]]]]:
-    """(p, a, index vectors in lexicographic order) for each prime power p**a of n.
-
-    The product over prime powers of these sequences, in order, is the
-    canonical flat order of the characters mod n.
-    """
-    if n > MODULUS_BOUND:
-        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
-    out = []
-    for p, e in factorize(n).factors:
-        orders = (range(order) for _, order in unit_group_structure(p, e).generators)
-        out.append((p, e, itertools.product(*orders)))
-    return out
-
-
 def enumerate_characters(n: int) -> list[DirichletCharacter]:
     """All phi(n) characters mod n, ordered lexicographically by index vectors.
 
     The principal character comes first; the ordering is the canonical
     labeling used everywhere in reports.
     """
-    comps = [[(p**e, idx) for idx in vecs] for p, e, vecs in _index_vectors(n)]
+    if n > MODULUS_BOUND:
+        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    comps = []
+    for p, e in factorize(n).factors:
+        orders = (range(order) for _, order in unit_group_structure(p, e).generators)
+        comps.append([(p**e, idx) for idx in itertools.product(*orders)])
     return [DirichletCharacter(n, combo) for combo in itertools.product(*comps)]
 
 
@@ -324,13 +313,9 @@ def character_order(chi: DirichletCharacter) -> int:
     return order
 
 
-def _component_label(p: int, a: int, idx: tuple[int, ...]) -> str:
-    return f"{p}^{a}=[{','.join(map(str, idx))}]"
-
-
 def char_label(chi: DirichletCharacter) -> str:
     """Canonical report label, e.g. ``12:2^2=[0];3^1=[1]``."""
-    parts = (_component_label(st.prime, st.exponent, idx) for _, idx, st in _component_structures(chi))
+    parts = (f"{st.prime}^{st.exponent}=[{','.join(map(str, idx))}]" for _, idx, st in _component_structures(chi))
     return f"{chi.modulus}:" + ";".join(parts)
 
 
@@ -400,30 +385,17 @@ class CharacterGroup:
         if n > MODULUS_BOUND:
             raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
         self.modulus = n
-        fac = factorize(n)
-        self.prime_powers = tuple(p**e for p, e in fac.factors)
-        self.structures = tuple(unit_group_structure(p, e) for p, e in fac.factors)
-        self.component_sizes = tuple(len(st.generators) for st in self.structures)
+        self.structures = tuple(unit_group_structure(p, e) for p, e in factorize(n).factors)
         self.orders = tuple(order for st in self.structures for _, order in st.generators)
         self.phi = math.prod(self.orders)
-        self.order_lcm = math.lcm(*self.orders) if self.orders else 1
+        self.order_lcm = math.lcm(*self.orders)
 
         k = np.arange(n, dtype=np.int64)
         self.coprime = np.gcd(k, n) == 1
-        if self.orders:
-            cols = [st.dlog_table[k % st.modulus] for st in self.structures]
-            self.dlogs = np.concatenate(cols, axis=1).astype(np.int64)
-        else:
-            self.dlogs = np.zeros((n, 0), dtype=np.int64)
-        strides = np.ones(len(self.orders), dtype=np.int64)
-        for i in range(len(self.orders) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.orders[i + 1]
-        lin = np.full(n, -1, dtype=np.int64)
-        if n == 1:
-            lin[0] = 0
-        else:
-            lin[self.coprime] = self.dlogs[self.coprime] @ strides
-        self.flat_index_of_k = lin
+        tables = (st.dlog_table[k % st.modulus] for st in self.structures)
+        self.dlogs = np.concatenate([np.zeros((n, 0), dtype=np.int64), *tables], axis=1)
+        strides = np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))], dtype=np.int64)
+        self.flat_index_of_k = np.where(self.coprime, self.dlogs @ strides, -1)
         self._conductors: np.ndarray | None = None
         self._labels: list[str] | None = None
 
@@ -487,13 +459,10 @@ class CharacterGroup:
             self._conductors = out
         return self._conductors
 
-    def index_vectors(self, flat: int) -> tuple[tuple[int, ...], ...]:
-        """Per-component index vectors of the flat character index."""
-        axes = iter(np.unravel_index(flat, self.orders))
-        return tuple(tuple(int(next(axes)) for _ in range(size)) for size in self.component_sizes)
-
     def character(self, flat: int) -> DirichletCharacter:
-        return DirichletCharacter(self.modulus, tuple(zip(self.prime_powers, self.index_vectors(flat))))
+        axes = iter(np.unravel_index(flat, self.orders))
+        comps = tuple((st.modulus, tuple(int(next(axes)) for _ in st.generators)) for st in self.structures)
+        return DirichletCharacter(self.modulus, comps)
 
     def flat_index(self, chi: DirichletCharacter) -> int:
         return int(np.ravel_multi_index(self._axes(chi), self.orders))

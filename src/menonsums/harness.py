@@ -9,8 +9,9 @@ per instance, and aggregates a pass/fail/skipped summary.  Records are
 stored columnar (numpy arrays) so that the large theorem-2 grid stays cheap;
 a grid over ``ROW_BUDGET`` rows is refused before any job runs.  Reports are
 formatted one run of rows at a time, each row by one f-string or template
-per format.  Record order is fixed by the grid, so output is byte-identical
-at any parallelism.
+per format.  Record order is fixed by the grid, so the records, CSV and text
+are byte-identical at any parallelism; JSON differs only in the echoed
+config.parallelism.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import divisor_tau, euler_phi, klee_phi, power_divisors, primes_upto, sigma, tau_s
+from .arith import divisor_tau, euler_phi, factorize, klee_phi, power_divisors, primes_upto, sigma, tau_s
 from .characters import MODULUS_BOUND, character_group, character_labels
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
@@ -101,10 +102,7 @@ class IdentityReport:
         the run's slice, its rows' moduli, and the character labels of that
         modulus, built once per modulus (None without a chi field)."""
         fields = self.param_fields
-        if "n" in fields:
-            moduli = self.params[:, fields.index("n")]
-        else:
-            moduli = self.params[:, fields.index("p")].astype(np.int64) ** self.params[:, fields.index("n_exp")]
+        moduli = _modulus(fields, self.params.T)
         breaks = set(range(_RUN_ROWS, moduli.size, _RUN_ROWS))
         if "chi" in fields:
             breaks.update((np.flatnonzero(np.diff(moduli)) + 1).tolist())
@@ -145,16 +143,15 @@ def _iroot(n: int, k: int) -> int:
 
 def _shaped(conds: np.ndarray, n: int, s: int) -> np.ndarray:
     """Mask of the conductors m**(t*s) with n = m**(q*s), m >= 2, 1 <= t <= q,
-    which Theorem 2 covers.  At n = p**a, s | a, they are the p**l, s | l, l >= s."""
-    targets = set()
-    q = 1
-    while q * s < n.bit_length():  # 2**(q*s) <= n
-        m = _iroot(n, q * s)
-        if m >= 2 and m ** (q * s) == n:
-            for t in range(1, q + 1):
-                targets.add(m ** (t * s))
-        q += 1
-    return np.isin(conds, list(targets))
+    which Theorem 2 covers.  Every such m is a power of the root r with n = r**g,
+    g the gcd of n's prime exponents, so they are the r**(t*s) with s | g and
+    1 <= t <= g/s."""
+    factors = factorize(n).factors
+    g = math.gcd(*(e for _, e in factors))  # 0 at n = 1
+    if g % s:
+        return np.zeros(conds.shape, dtype=bool)
+    r = math.prod(p ** (e // g) for p, e in factors)
+    return np.isin(conds, [r ** (t * s) for t in range(1, g // s + 1)])
 
 
 def _batch_grid(n_max: int, s_values) -> list[tuple]:
@@ -322,9 +319,10 @@ def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[n
     return np.where(keep, lhs, 0), residual
 
 
-def _modulus(spec: IdentitySpec, head: tuple) -> int:
-    """The modulus of a character job: n, or p**n_exp."""
-    return head[0] if spec.fields[0] == "n" else head[0] ** head[1]
+def _modulus(fields: tuple[str, ...], head):
+    """The modulus n, or p**n_exp, of a job head, or the moduli of report
+    params given as columns (params.T)."""
+    return head[0] if fields[0] == "n" else head[0] ** head[1]
 
 
 def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
@@ -336,7 +334,7 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
         lhs = np.asarray(lhs, dtype=np.int64)
         status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
         return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
-    group = character_group(_modulus(spec, head))
+    group = character_group(_modulus(spec.fields, head))
     conds = group.conductors()
     keep = np.ones(conds.size, dtype=bool) if spec.qualifies is None else spec.qualifies(conds, *head)
     sums = group.all_sums(spec.weights(*head)) if keep.any() else np.zeros(conds.size)
@@ -362,6 +360,8 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
         raise ResourceError(f"n_max {config.n_max} exceeds the {config.identity} bound {bound}")
     if not config.s_values or any(s < 1 for s in config.s_values):
         raise DomainError(f"s_values must be a nonempty list of positive integers, got {config.s_values}")
+    if max(config.s_values) > np.iinfo(np.int32).max:  # report params are int32
+        raise DomainError(f"s must be at most {np.iinfo(np.int32).max}, got {max(config.s_values)}")
     if not 0 < config.tolerance < 0.5:
         raise DomainError(f"tolerance must lie in (0, 0.5), got {config.tolerance}")
     if config.parallelism < 1:
@@ -382,7 +382,7 @@ def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
     total = 0
     for head in heads:
         if spec.rows is None:
-            total += euler_phi(_modulus(spec, head))
+            total += euler_phi(_modulus(spec.fields, head))
         else:
             total += sum(spec.count(n, head[0]) for n in range(head[1], head[2] + 1))
         if total > ROW_BUDGET:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .arith import factorize, is_prime, klee_phi, sgcd_table
+from .arith import is_prime, klee_phi, power_divisors, sgcd_table
 from .characters import MODULUS_BOUND, CharValue, DirichletCharacter, character_group
 from .errors import DomainError, IntegrityError, ResourceError
 
@@ -79,8 +79,8 @@ def sury_sum(n: int, s_vars: int) -> int:
     """sum of gcd(m1-1, m2, ..., ms, n) over tuples in [1, n]**s_vars with
     gcd(m1, n) = 1 (asserted equal to phi(n) * sigma_{s-1}(n)).
 
-    Evaluated by enumerating the inner (s-1)-fold gcd grid once and reusing
-    it for each admissible m1; the tuple count n**s_vars stays capped.
+    Evaluated by enumerating the inner (s-1)-fold gcd grid once, flat, and
+    reusing it for each admissible m1; the tuple count n**s_vars stays capped.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -89,9 +89,10 @@ def sury_sum(n: int, s_vars: int) -> int:
     if n ** min(s_vars, 64) > TUPLE_BOUND:  # exact: n**64 > TUPLE_BOUND for n >= 2
         raise ResourceError(f"tuple count {n}**{s_vars} exceeds {TUPLE_BOUND}")
     tail = np.arange(1, n + 1, dtype=np.int64)
-    acc = np.zeros((), dtype=np.int64)  # gcd(0, x) = x seeds the reduction
-    for _ in range(s_vars - 1):
-        acc = np.gcd(acc[..., None], tail)
+    acc = np.zeros(1, dtype=np.int64)  # gcd(0, x) = x seeds the reduction
+    # The check above leaves s_vars < 64 unless n = 1, where every step after the first keeps acc = [1].
+    for _ in range(min(s_vars, 64) - 1):
+        acc = np.gcd(acc[:, None], tail).ravel()
     inner_cache: dict[int, int] = {}
     total = 0
     for m1 in range(1, n + 1):
@@ -185,12 +186,6 @@ def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) 
     return _finish(character_group(q).char_sum(chi, char_shift_weights(p, n_exp, s, m)))
 
 
-def _is_power_divisor(n: int, s: int, d: int) -> bool:
-    if d < 1 or n % d != 0:
-        return False
-    return all(e % s == 0 for _, e in factorize(d).factors)
-
-
 def cohen_partition_stats(n: int, s: int, d: int) -> tuple[bool, int, int]:
     """Partition diagnostics behind cohen_partition_check.
 
@@ -205,7 +200,7 @@ def cohen_partition_stats(n: int, s: int, d: int) -> tuple[bool, int, int]:
         raise DomainError(f"s must be >= 1, got {s}")
     if n > PARTITION_BOUND:
         raise ResourceError(f"partition-check bound is {PARTITION_BOUND}, got {n}")
-    if not _is_power_divisor(n, s, d):
+    if d not in power_divisors(n, s):
         raise DomainError(f"d={d} is not an s-th-power divisor of n={n} at s={s}")
     members = np.nonzero(sgcd_table(n, s) == 1)[0]  # residue 0 stands for m = n
     counts = np.bincount(members % d, minlength=d)

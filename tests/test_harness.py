@@ -20,6 +20,7 @@ from menonsums import (
     ResourceError,
     conductor,
     divisor_tau,
+    divisors,
     euler_phi,
     format_report,
     generalized_sum,
@@ -97,6 +98,19 @@ class TestConfigValidation:
         with pytest.raises(ResourceError, match="strict_gen sweep refused"):
             search_counterexamples(10**5, (1,))
 
+    @pytest.mark.parametrize("command", [["verify", identity] for identity in IDENTITIES] + [["search"]], ids=" ".join)
+    def test_s_above_int32_refused_before_any_job(self, command, monkeypatch, capsys):
+        def no_job(job):
+            raise AssertionError(f"job {job} ran for a refused s")
+
+        monkeypatch.setattr(harness, "_run_job", no_job)
+        assert main([*command, "--n-max", "16", "--s", "2147483648"]) == 2
+        assert capsys.readouterr().err == "error: s must be at most 2147483647, got 2147483648\n"
+
+    def test_largest_int32_s_keeps_its_row(self):
+        report = run_sweep(SweepConfig(identity="theorem1", n_max=16, s_values=(2**31 - 1,)))
+        assert report.params.tolist() == [[1, 2**31 - 1, 0]]
+
     @pytest.mark.parametrize("identity, n_max", [("theorem2", 4096), ("lemma34", 10**4)])
     def test_row_budget_admits_the_largest_checked_grids(self, identity, n_max, monkeypatch):
         class Admitted(Exception):
@@ -149,6 +163,25 @@ class TestSweepContents:
         for rec in report.records:
             if rec.status == "skipped":
                 assert rec.lhs is None and rec.rhs is None
+
+    def test_shaped_matches_theorem2_hypothesis(self):
+        # Brute force of the definition: n = m**(q*s) with m >= 2, q >= 1 covers the conductors m**(t*s), t <= q.
+        n_max = 5000
+        for s in range(1, 7):
+            covered = [set() for _ in range(n_max + 1)]
+            for m in range(2, n_max + 1):
+                q = 1
+                while m ** (q * s) <= n_max:
+                    covered[m ** (q * s)].update(m ** (t * s) for t in range(1, q + 1))
+                    q += 1
+            for n in range(1, n_max + 1):
+                conds = np.array(divisors(n))
+                expected = [d in covered[n] for d in conds.tolist()]
+                assert harness._shaped(conds, n, s).tolist() == expected, (n, s)
+
+    def test_sury_at_n1_accepts_more_than_64_variables(self, capsys):
+        assert main(["verify", "sury", "--n-max", "1", "--s", "66", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["sury,1,66,,1,0.000e+00,1,pass"]
 
     def test_lemma_sweeps_small(self):
         r31 = run_sweep(SweepConfig(identity="lemma31", n_max=256, s_values=(1, 2)))

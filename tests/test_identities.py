@@ -1,6 +1,7 @@
 """Sum evaluators: contract examples, reduction chains, and cross-checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,12 @@ class TestSury:
     def test_tuple_bound(self):
         with pytest.raises(ResourceError):
             sury_sum(10**4, 2)
+
+    @pytest.mark.parametrize("s", [66, 10**6, 2**31 - 1])
+    def test_n1_work_does_not_grow_with_s(self, s):
+        start = time.perf_counter()
+        assert sury_sum(1, s) == 1
+        assert time.perf_counter() - start < 0.5
 
 
 class TestZhaoCao:
