@@ -353,25 +353,17 @@ def _roots_of_unity(order: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _component_conductor_table(p: int, a: int) -> np.ndarray:
-    """Conductors of all characters mod p**a, flat in C order over indices."""
+    """Conductors of all characters mod p**a, flat in C order over indices: p**c
+    for the least c >= 1 with chi(1 + p**c) = 1 (1 + p**c generates the units
+    = 1 mod p**c, at p = 2 only for c >= 2), and 1 for the principal chi."""
     st = unit_group_structure(p, a)
-    orders = tuple(order for _, order in st.generators)
-    if not orders:
-        out = np.ones(1, dtype=np.int64)
-    elif p == 2 and a >= 3:
-        v0, v1 = np.meshgrid(np.arange(2), np.arange(orders[1]), indexing="ij")
-        v0, v1 = v0.ravel(), v1.ravel()
-        k2 = np.zeros(v1.size, dtype=np.int64)
-        for t in range(1, a):
-            k2 += (v1 % 2**t == 0) & (v1 > 0)
-        out = np.where(v1 == 0, np.where(v0 == 0, 1, 4), 2 ** (a - k2)).astype(np.int64)
-    else:
-        v = np.arange(orders[0], dtype=np.int64)
-        o = orders[0] // np.gcd(v, orders[0])
-        e = np.zeros(v.size, dtype=np.int64)
-        for t in range(1, a + 1):
-            e += o % p**t == 0
-        out = np.where(v == 0, 1, p ** (1 + e)).astype(np.int64)
+    orders = np.array([order for _, order in st.generators], dtype=np.int64)
+    L = math.lcm(*orders.tolist())
+    v = np.indices(orders).reshape(orders.size, orders.prod()).T  # index vectors in C order
+    out = np.full(len(v), p**a, dtype=np.int64)
+    for c in range(a - 1, 1 if p == 2 else 0, -1):
+        out[v @ (st.dlog_table[1 + p**c] * (L // orders)) % L == 0] = p**c
+    out[0] = 1
     out.setflags(write=False)
     return out
 

@@ -87,8 +87,11 @@ def _emit(payload: bytes, output: str | None) -> None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
-        with open(output, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise DomainError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 #: Most value cells, phi(n) characters times n arguments, that char-table writes.

@@ -7,11 +7,12 @@ qualifier and conductor rhs of a sum over all characters of one modulus.
 enumerates its grid (all qualifying n, s and characters), emits one record
 per instance, and aggregates a pass/fail/skipped summary.  Records are
 stored columnar (numpy arrays) so that the large theorem-2 grid stays cheap;
-a grid over ``ROW_BUDGET`` rows is refused before any job runs.  Reports are
-formatted one run of rows at a time, each row by one f-string or template
-per format.  Record order is fixed by the grid, so the records, CSV and text
-are byte-identical at any parallelism; JSON differs only in the echoed
-config.parallelism.
+a grid over ``ROW_BUDGET`` rows is refused before any job runs.  Reports keep
+each job's end row and are decoded into plain lists one run at a time: a
+job's rows, at most ``_RUN_ROWS`` of them.  CSV and text write each row
+through one ``%`` template, JSON through one f-string.  Record order is fixed
+by the grid, so the records, CSV and text are byte-identical at any
+parallelism; JSON differs only in the echoed config.parallelism.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ STATUS_NAMES = ("pass", "fail", "skipped")
 
 _BATCH = 512
 
-#: Most rows of one run, formatted together while formatting a report.
+#: Most rows of one run, a job's rows decoded together while formatting a report.
 _RUN_ROWS = 1024
 
 #: Most rows a sweep may have; a larger grid is refused before any job runs.
@@ -74,7 +75,7 @@ class SweepRecord(NamedTuple):
 class IdentityReport:
     """Columnar result of a sweep; one row per grid instance."""
 
-    def __init__(self, config, param_fields, params, lhs, residual, rhs, status):
+    def __init__(self, config, param_fields, params, lhs, residual, rhs, status, ends):
         self.config = config
         self.identity = config.identity
         self.param_fields = param_fields
@@ -83,6 +84,7 @@ class IdentityReport:
         self.residual = residual
         self.rhs = rhs
         self.status = status
+        self.ends = ends  # the row after each job
 
     def __len__(self) -> int:
         return self.status.size
@@ -97,32 +99,32 @@ class IdentityReport:
         live = self.status != STATUS_SKIP
         return float(self.residual[live].max()) if live.any() else 0.0
 
-    def _runs(self) -> Iterator[tuple[slice, np.ndarray, list[str] | None]]:
-        """Runs (rows, moduli, labels) of at most _RUN_ROWS rows of one modulus:
-        the run's slice, its rows' moduli, and the character labels of that
-        modulus, built once per modulus (None without a chi field)."""
+    def _runs(self) -> Iterator[tuple[list, ...]]:
+        """Each job's rows, at most _RUN_ROWS at a time, as plain lists: the
+        param columns by field, the chi labels (None without a chi field), lhs,
+        residual, rhs and status.  Labels are built again only when a job's
+        modulus differs from the previous job's."""
         fields = self.param_fields
-        moduli = _modulus(fields, self.params.T)
-        breaks = set(range(_RUN_ROWS, moduli.size, _RUN_ROWS))
-        if "chi" in fields:
-            breaks.update((np.flatnonzero(np.diff(moduli)) + 1).tolist())
-        edges = [0, *sorted(breaks), moduli.size] if moduli.size else []
-        labelled = labels = None
-        for a, b in zip(edges, edges[1:]):
-            if "chi" in fields and moduli[a] != labelled:
-                labelled, labels = moduli[a], character_labels(int(moduli[a]))
-            yield slice(a, b), moduli[a:b], labels
+        chi = fields.index("chi") if "chi" in fields else None
+        start, labelled, labels = 0, None, None
+        for end in self.ends:
+            if chi is not None and start < end and labelled != (n := _modulus(fields, self.params[start].tolist())):
+                labelled, labels = n, character_labels(n)
+            for a in range(start, end, _RUN_ROWS):
+                rows = slice(a, min(a + _RUN_ROWS, end))
+                params = self.params[rows].T.tolist()
+                chis = None if chi is None else [labels[j] for j in params[chi]]
+                yield params, chis, *(col[rows].tolist() for col in (self.lhs, self.residual, self.rhs, self.status))
+            start = end
 
     @property
     def records(self) -> list[SweepRecord]:
         records = []
-        for rows, _, labels in self._runs():
-            columns = (self.params[rows], self.lhs[rows], self.residual[rows], self.rhs[rows], self.status[rows])
-            for params, lhs, residual, rhs, code in zip(*(col.tolist() for col in columns)):
-                row = dict(zip(self.param_fields, params))
-                chi = None if labels is None else labels[row["chi"]]
-                values = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
-                records.append(SweepRecord(self.identity, row, chi, *values, STATUS_NAMES[code]))
+        for params, chis, *values in self._runs():
+            for row, chi, lhs, residual, rhs, code in zip(zip(*params), chis or [None] * len(params[0]), *values):
+                cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
+                row = dict(zip(self.param_fields, row))
+                records.append(SweepRecord(self.identity, row, chi, *cells, STATUS_NAMES[code]))
         return records
 
 
@@ -320,8 +322,7 @@ def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[n
 
 
 def _modulus(fields: tuple[str, ...], head):
-    """The modulus n, or p**n_exp, of a job head, or the moduli of report
-    params given as columns (params.T)."""
+    """The modulus n, or p**n_exp, of a character job's head."""
     return head[0] if fields[0] == "n" else head[0] ** head[1]
 
 
@@ -406,7 +407,8 @@ def _execute(config: SweepConfig) -> IdentityReport:
     )
     params, lhs, residual, rhs, status = (np.concatenate(column) for column in zip(empty, *chunks))
     status[(status == STATUS_PASS) & ~(residual < config.tolerance)] = STATUS_FAIL
-    return IdentityReport(config, spec.fields, params, lhs, residual, rhs, status)
+    ends = np.cumsum([chunk[-1].size for chunk in chunks], dtype=np.int64)
+    return IdentityReport(config, spec.fields, params, lhs, residual, rhs, status, ends)
 
 
 def run_sweep(config: SweepConfig) -> IdentityReport:
@@ -431,7 +433,7 @@ def reproduce_remark() -> IdentityReport:
     if lhs[0] != 5 or rhs[0] != 6:
         raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs[0]}, RHS={rhs[0]}")
     config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
-    return IdentityReport(config, _SPECS[STRICT_GEN].fields, params, lhs, residual, rhs, status)
+    return IdentityReport(config, _SPECS[STRICT_GEN].fields, params, lhs, residual, rhs, status, [1])
 
 
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
@@ -455,34 +457,35 @@ def _columns(report: IdentityReport) -> Iterator[tuple[list, ...]]:
     rhs and status code.  The chi cell is the label, then the m or d parameter
     as m=... or d=... ("" when the report has none of chi, m and d)."""
     fields = report.param_fields
-    for rows, moduli, labels in report._runs():
-        params = report.params[rows]
-        chi = None if labels is None else [labels[j] for j in params[:, fields.index("chi")].tolist()]
+    for params, chi, *values in report._runs():
         for f in (f for f in fields if f in ("m", "d")):  # at most one of them
-            cells = params[:, fields.index(f)].tolist()
+            cells = params[fields.index(f)]
             chi = [f"{f}={v}" for v in cells] if chi is None else [f"{c} {f}={v}" for c, v in zip(chi, cells)]
-        chi = [""] * moduli.size if chi is None else chi
-        values = (col[rows].tolist() for col in (report.lhs, report.residual, report.rhs, report.status))
-        yield moduli.tolist(), params[:, fields.index("s")].tolist(), chi, *values
+        # A run lies inside one job, so its head row is a lemma job's head.
+        n = params[0] if fields[0] == "n" else [_modulus(fields, [col[0] for col in params])] * len(params[0])
+        yield n, params[fields.index("s")], chi or [""] * len(n), *values
+
+
+def _lines(report: IdentityReport, row: str, blank: str) -> Iterator[bytes]:
+    """Each run's rows through the % templates row (n, s, chi, lhs, residual,
+    rhs, status) and, for a skipped row, blank (n, s, chi)."""
+    for columns in _columns(report):
+        yield "".join([
+            blank % (n, s, chi) if code == STATUS_SKIP else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
+            for n, s, chi, l, r, h, code in zip(*columns)
+        ]).encode()
 
 
 def _format_csv(report: IdentityReport) -> bytes:
     quote = '"' if {"chi", "m", "d"} & set(report.param_fields) else ""
-    parts = [b"identity,n,s,chi,lhs,residual,rhs,status\n"]
-    for columns in _columns(report):
-        lines = [
-            f"{report.identity},{n},{s},{quote}{chi}{quote},,,,skipped\n"
-            if code == STATUS_SKIP
-            else f"{report.identity},{n},{s},{quote}{chi}{quote},{l},{r:.3e},{h},{STATUS_NAMES[code]}\n"
-            for n, s, chi, l, r, h, code in zip(*columns)
-        ]
-        parts.append("".join(lines).encode())
-    return b"".join(parts)
+    lead = f"{report.identity},%d,%d,{quote}%s{quote},"
+    rows = _lines(report, lead + "%d,%.3e,%d,%s\n", lead + ",,,skipped\n")
+    return b"".join([b"identity,n,s,chi,lhs,residual,rhs,status\n", *rows])
 
 
 def _format_text(report: IdentityReport) -> bytes:
     """Columns padded to their widest cell; pass 1 finds the widths, pass 2
-    formats each run's rows through a template with the widths baked in."""
+    writes the rows through templates with the widths baked in."""
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
     live = report.status != STATUS_SKIP
     # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
@@ -500,14 +503,8 @@ def _format_text(report: IdentityReport) -> bytes:
     # Pass 2: "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w).
     wi, wn, ws, wc, wl, wr, wh, _ = widths
     lead = f"{report.identity.ljust(wi)}  %-{wn}d  %-{ws}d  %-{wc}s  "
-    row = lead + f"%-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
-    blank = lead + " " * (wl + wr + wh + 6) + "skipped\n"
-    for columns in _columns(report):
-        lines = [
-            blank % (n, s, chi) if code == STATUS_SKIP else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
-            for n, s, chi, l, r, h, code in zip(*columns)
-        ]
-        parts.append("".join(lines).encode())
+    row = f"{lead}%-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
+    parts.extend(_lines(report, row, lead + " " * (wl + wr + wh + 6) + "skipped\n"))
     counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
     parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
     return b"".join(parts)
@@ -518,19 +515,14 @@ def _format_json(report: IdentityReport) -> bytes:
     in sorted-key order (repr of a finite float is its json.dumps)."""
     fields = report.param_fields
     order = sorted(range(len(fields)), key=fields.__getitem__)
-    params = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
+    template = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
     ident = json.dumps(report.identity)
     head = json.dumps({"config": asdict(report.config)}, sort_keys=True)[:-1] + ', "records": ['
     tail = json.dumps({"summary": report.summary, "worst_residual": report.worst_residual}, sort_keys=True)
     parts, sep = [head.encode()], ""
-    for rows, _, labels in report._runs():
-        block = report.params[rows]
-        keyed = list(map(params.format, *block[:, order].T.tolist()))
-        if labels is None:
-            chis = ["null"] * len(keyed)
-        else:
-            chis = [encode_basestring_ascii(labels[j]) for j in block[:, fields.index("chi")].tolist()]
-        values = (col[rows].tolist() for col in (report.lhs, report.residual, report.rhs, report.status))
+    for params, labels, *values in report._runs():
+        keyed = list(map(template.format, *(params[i] for i in order)))
+        chis = ["null"] * len(keyed) if labels is None else list(map(encode_basestring_ascii, labels))
         records = [
             f'{{"chi": {c}, "identity": {ident}, "lhs": null, "params": {p}, "residual": null, '
             f'"rhs": null, "status": "skipped"}}'

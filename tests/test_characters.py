@@ -170,6 +170,26 @@ class TestConductor:
             assert d == int(table[flat])
             assert n % d == 0
 
+    def test_prime_power_tables_match_definition(self):
+        # Every prime power q <= 4096 of exponent >= 2, and every prime up to 1024: entry j
+        # is the least d | q with chi_j(k) = 1 at every unit k = 1 (mod d).  chi(k) is read
+        # from turn_numerators: chi_v is the product of the basis characters to the powers v.
+        for p, a in [(p, a) for p in primes_upto(4096) for a in range(1 if p <= 1024 else 2, 13) if p**a <= 4096]:
+            q = p**a
+            group = CharacterGroup(q)
+            units = np.flatnonzero(group.coprime)
+            strides = [math.prod(group.orders[i + 1 :]) for i in range(len(group.orders))]
+            basis = [group.turn_numerators(group.character(flat))[units] for flat in strides]
+            basis = np.array(basis).reshape(len(strides), units.size)
+            vectors = np.indices(group.orders).reshape(len(group.orders), group.phi).T
+            expected = np.full(group.phi, q)
+            for rows in range(0, group.phi, 512):
+                turns = vectors[rows : rows + 512] @ basis % group.order_lcm
+                for c in range(a - 1, -1, -1):
+                    trivial = (turns[:, units % p**c == 1 % p**c] == 0).all(axis=1)
+                    expected[rows : rows + 512][trivial] = p**c
+            assert group.conductors().tolist() == expected.tolist(), q
+
     def test_multiplicative_over_components(self):
         for n in (12, 36, 40, 45, 72, 90):
             for chi in enumerate_characters(n):

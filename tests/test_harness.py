@@ -34,7 +34,7 @@ from menonsums import (
 )
 from menonsums import cli, harness
 from menonsums.harness import IDENTITIES, STATUS_NAMES, STRICT_GEN, SweepConfig
-from menonsums.characters import CharacterGroup, character_group
+from menonsums.characters import CharacterGroup, character_group, character_labels
 from menonsums.cli import build_parser, char_table_bytes, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -393,6 +393,26 @@ class TestFormats:
             tracemalloc.stop()
         assert peak < 2.5 * len(payload)
 
+    def test_csv_peak_memory_stays_near_output_size_inside_long_jobs(self):
+        # Every lemma31 job at 2**16 holds 16,384 rows, so runs must stay capped inside a job.
+        report = run_sweep(SweepConfig(identity="lemma31", n_max=2**16, s_values=(4,)))
+        tracemalloc.start()
+        try:
+            payload = format_report(report, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(payload)
+
+    def test_labels_built_once_per_run_of_jobs_sharing_a_modulus(self, monkeypatch):
+        # The lemma jobs for m = s, 2s, ... share the modulus p**n_exp.
+        report = run_sweep(SweepConfig(identity="lemma33", n_max=256, s_values=(1, 2)))
+        built = []
+        monkeypatch.setattr(harness, "character_labels", lambda n: built.append(n) or character_labels(n))
+        format_report(report, "csv")
+        assert len(report.ends) == 51
+        assert len(built) == 20
+
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             format_report(reproduce_remark(), "xml")
@@ -508,6 +528,18 @@ class TestCli:
         assert main(["verify", "menon", "--n-max", "5", "--format", "csv", "--output", str(target)]) == 0
         assert target.read_text().startswith("identity,n,s,chi")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["verify", "menon", "--n-max", "10"], ["char-table", "12"]], ids=" ".join)
+    def test_unwritable_output_exit_two(self, command, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "menonsums", *command, "--output", str(target)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in proc.stderr
 
     def test_char_table_cli(self, capsys):
         assert main(["char-table", "9", "--format", "json"]) == 0

@@ -35,7 +35,7 @@ DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
 
 
 def _edge_report() -> IdentityReport:
-    """A report built directly from columns, over moduli 7 and 9: residuals
+    """A report built directly from columns, one job each over moduli 7 and 9: residuals
     0.0, 1e-300, the subnormal 5e-324, 9.9995e-07 (rounds up at .3e) and
     0.49999, negative lhs and rhs, skipped rows, and repeated values."""
     config = SweepConfig(identity="theorem2", n_max=9, s_values=(1, 2))
@@ -44,7 +44,7 @@ def _edge_report() -> IdentityReport:
     rhs = np.array([6, -3, 0, 6, 5, -12, 18, 0, -1, 0, 2**40, -(2**40)], dtype=np.int64)
     residual = np.array([0.0, 1e-300, 0.0, 5e-324, 9.9995e-07, 0.49999, 0.0, 0.0, 1e-300, 2.5e-07, 9.9995e-07, 0.49999])
     status = np.array([0, 0, 2, 1, 0, 1, 0, 2, 0, 1, 0, 1], dtype=np.int8)
-    return IdentityReport(config, ("n", "s", "chi"), params, lhs, residual, rhs, status)
+    return IdentityReport(config, ("n", "s", "chi"), params, lhs, residual, rhs, status, ends=[6, 12])
 
 
 def _reports():
@@ -70,12 +70,18 @@ def _digest(make, fmt) -> str:
     return hashlib.sha256(format_report(make(), fmt)).hexdigest()
 
 
-# Formatting decodes at most _RUN_ROWS rows at a time; 7 splits runs inside
-# one modulus, so labels must carry across the split.
-@pytest.mark.parametrize("run_rows", [harness._RUN_ROWS, 7])
+# Formatting decodes one job's rows, at most _RUN_ROWS of them, at a time; 7
+# splits runs inside one modulus, so labels must carry across the split.  A
+# _BATCH of 7 n splits the scalar reports into many jobs, so runs end at job ends.
+@pytest.mark.parametrize(
+    "run_rows, batch",
+    [(harness._RUN_ROWS, harness._BATCH), (7, harness._BATCH), (harness._RUN_ROWS, 7)],
+    ids=[str(harness._RUN_ROWS), "7", f"{harness._RUN_ROWS}-batch7"],
+)
 @pytest.mark.parametrize("name, make, fmt", CASES, ids=[f"{n}-{f}" for n, _, f in CASES])
-def test_report_bytes_match_golden_digest(name, make, fmt, run_rows, monkeypatch):
+def test_report_bytes_match_golden_digest(name, make, fmt, run_rows, batch, monkeypatch):
     monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
+    monkeypatch.setattr(harness, "_BATCH", batch)
     expected = json.loads(DIGESTS.read_text())
     assert _digest(make, fmt) == expected[f"{name}.{fmt}"]
 
