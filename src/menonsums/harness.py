@@ -5,11 +5,12 @@ and default, and job grid, plus either scalar rows or the weights,
 qualifier and conductor rhs of a sum over all characters of one modulus.
 ``_run_job`` is the one runner for both kinds.  Every sweep exhaustively
 enumerates its grid (all qualifying n, s and characters), emits one record
-per instance, and aggregates a pass/fail/skipped summary.  Records are
-stored columnar (numpy arrays) so that the large theorem-2 grid stays cheap;
-a grid over ``ROW_BUDGET`` rows is refused before any job runs.  Reports keep
-each job's end row and are decoded into plain lists one run at a time: a
-job's rows, at most ``_RUN_ROWS`` of them.  CSV and text write each row
+per instance, and aggregates a pass/fail/skipped summary.  Each job returns
+its final rows as numpy columns, tolerance test included, so that the large
+theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is refused before
+any job runs.  A report keeps each job's columns in grid order, never
+concatenated, and decodes them into plain lists one run at a time: a job's
+rows, at most ``_RUN_ROWS`` of them.  CSV and text write each row
 through one ``%`` template, JSON through one f-string.  Record order is fixed
 by the grid, so the records, CSV and text are byte-identical at any
 parallelism; JSON differs only in the echoed config.parallelism.
@@ -73,31 +74,30 @@ class SweepRecord(NamedTuple):
 
 
 class IdentityReport:
-    """Columnar result of a sweep; one row per grid instance."""
+    """Result of a sweep: per job, in grid order, the columns (params, lhs,
+    residual, rhs, status) that _run_job returns; one row per grid instance."""
 
-    def __init__(self, config, param_fields, params, lhs, residual, rhs, status, ends):
+    def __init__(self, config, param_fields, jobs):
         self.config = config
         self.identity = config.identity
         self.param_fields = param_fields
-        self.params = params
-        self.lhs = lhs
-        self.residual = residual
-        self.rhs = rhs
-        self.status = status
-        self.ends = ends  # the row after each job
+        self.jobs = jobs
 
     def __len__(self) -> int:
-        return self.status.size
+        return sum(job[-1].size for job in self.jobs)
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = np.bincount(self.status, minlength=3)
+        counts = sum((np.bincount(job[-1], minlength=3) for job in self.jobs), np.zeros(3, np.int64))
         return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}
 
     @property
     def worst_residual(self) -> float:
-        live = self.status != STATUS_SKIP
-        return float(self.residual[live].max()) if live.any() else 0.0
+        return float(self._live(2).max(initial=0.0))
+
+    def _live(self, column: int) -> np.ndarray:
+        """The rows of job column `column` (1 lhs, 2 residual, 3 rhs) that are not skipped."""
+        return np.concatenate([job[column][job[-1] != STATUS_SKIP] for job in self.jobs] or [np.zeros(0)])
 
     def _runs(self) -> Iterator[tuple[list, ...]]:
         """Each job's rows, at most _RUN_ROWS at a time, as plain lists: the
@@ -106,16 +106,14 @@ class IdentityReport:
         modulus differs from the previous job's."""
         fields = self.param_fields
         chi = fields.index("chi") if "chi" in fields else None
-        start, labelled, labels = 0, None, None
-        for end in self.ends:
-            if chi is not None and start < end and labelled != (n := _modulus(fields, self.params[start].tolist())):
+        labelled = labels = None
+        for job in self.jobs:
+            if chi is not None and len(job[0]) and labelled != (n := _modulus(fields, job[0][0].tolist())):
                 labelled, labels = n, character_labels(n)
-            for a in range(start, end, _RUN_ROWS):
-                rows = slice(a, min(a + _RUN_ROWS, end))
-                params = self.params[rows].T.tolist()
+            for a in range(0, len(job[0]), _RUN_ROWS):
+                params = job[0][a : a + _RUN_ROWS].T.tolist()
                 chis = None if chi is None else [labels[j] for j in params[chi]]
-                yield params, chis, *(col[rows].tolist() for col in (self.lhs, self.residual, self.rhs, self.status))
-            start = end
+                yield params, chis, *(col[a : a + _RUN_ROWS].tolist() for col in job[1:])
 
     @property
     def records(self) -> list[SweepRecord]:
@@ -303,7 +301,7 @@ IDENTITIES = tuple(name for name in _SPECS if name != STRICT_GEN)
 
 
 # ---------------------------------------------------------------------------
-# job execution (each job returns columns params, lhs, residual, rhs, status)
+# job execution (each job returns final columns params, lhs, residual, rhs, status)
 
 
 def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,8 +325,9 @@ def _modulus(fields: tuple[str, ...], head):
 
 
 def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
-    """Columns of one job; its status is pass, fail or skipped before the tolerance test."""
-    ident, head = job
+    """Final columns of one job (identity, head, tolerance): a character row
+    passes when lhs == rhs and its residual is below the tolerance."""
+    ident, head, tolerance = job
     spec = _SPECS[ident]
     if spec.rows is not None:
         params, lhs, rhs, ok = spec.rows(*head)
@@ -343,7 +342,8 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
     rhs = np.zeros(conds.size, dtype=np.int64)
     for d in np.unique(conds[keep]):
         rhs[conds == d] = spec.rhs(int(d), *head)
-    status = np.where(keep, np.where(lhs == rhs, STATUS_PASS, STATUS_FAIL), STATUS_SKIP).astype(np.int8)
+    ok = (lhs == rhs) & (residual < tolerance)  # a NaN residual fails
+    status = np.where(keep, np.where(ok, STATUS_PASS, STATUS_FAIL), STATUS_SKIP).astype(np.int8)
     rows = np.flatnonzero(keep) if spec.drop else np.arange(conds.size)
     params = np.empty((rows.size, len(head) + 1), dtype=np.int32)
     params[:, :-1] = head
@@ -394,21 +394,15 @@ def _execute(config: SweepConfig) -> IdentityReport:
     spec = _SPECS[config.identity]
     heads = spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))
     _admit(config.identity, spec, heads)
-    jobs = [(config.identity, head) for head in heads]
+    jobs = [(config.identity, head, config.tolerance) for head in heads]
     # Under fork the pool starts every worker at its first submit, so cap them.
     workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
+            results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
     else:
-        chunks = [_run_job(job) for job in jobs]
-    empty = (np.zeros((0, len(spec.fields)), np.int32),) + tuple(
-        np.zeros(0, dtype) for dtype in (np.int64, np.float64, np.int64, np.int8)
-    )
-    params, lhs, residual, rhs, status = (np.concatenate(column) for column in zip(empty, *chunks))
-    status[(status == STATUS_PASS) & ~(residual < config.tolerance)] = STATUS_FAIL
-    ends = np.cumsum([chunk[-1].size for chunk in chunks], dtype=np.int64)
-    return IdentityReport(config, spec.fields, params, lhs, residual, rhs, status, ends)
+        results = list(map(_run_job, jobs))
+    return IdentityReport(config, spec.fields, results)
 
 
 def run_sweep(config: SweepConfig) -> IdentityReport:
@@ -429,11 +423,12 @@ def reproduce_remark() -> IdentityReport:
     is the expected, documented outcome, so callers treat it as success.
     Any other values raise IntegrityError.
     """
-    params, lhs, residual, rhs, status = (col[:1] for col in _run_job((STRICT_GEN, (4, 2))))
-    if lhs[0] != 5 or rhs[0] != 6:
-        raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs[0]}, RHS={rhs[0]}")
     config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
-    return IdentityReport(config, _SPECS[STRICT_GEN].fields, params, lhs, residual, rhs, status, [1])
+    job = tuple(col[:1] for col in _run_job((STRICT_GEN, (4, 2), config.tolerance)))
+    lhs, rhs = job[1][0], job[3][0]
+    if lhs != 5 or rhs != 6:
+        raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs}, RHS={rhs}")
+    return IdentityReport(config, _SPECS[STRICT_GEN].fields, [job])
 
 
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
@@ -487,17 +482,16 @@ def _format_text(report: IdentityReport) -> bytes:
     """Columns padded to their widest cell; pass 1 finds the widths, pass 2
     writes the rows through templates with the widths baked in."""
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
-    live = report.status != STATUS_SKIP
     # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
     cells: list[list[str]] = [[report.identity], [], [], [], [], [], [], []]
     for n, s, chi, *_ in _columns(report):
         cells[1].append(str(max(n)))
         cells[2].extend(map(str, set(s)))
         cells[3].append(max(chi, key=len))
-    if live.any():
-        cells[4] = [str(report.lhs[live].min()), str(report.lhs[live].max())]
-        cells[5] = [f"{v:.3e}" for v in np.unique(report.residual[live]).tolist()]
-        cells[6] = [str(report.rhs[live].min()), str(report.rhs[live].max())]
+    for i, column in ((4, 1), (6, 3)):  # lhs and rhs
+        live = report._live(column)
+        cells[i] = [str(live.min()), str(live.max())] if live.size else []
+    cells[5] = [f"{v:.3e}" for v in np.unique(report._live(2)).tolist()]
     widths = [max([len(h), *map(len, c)]) for h, c in zip(header, cells)]
     parts = [("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n").encode()]
     # Pass 2: "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w).

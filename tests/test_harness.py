@@ -81,7 +81,7 @@ class TestConfigValidation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.params.tolist() == [[1, 10**8, 0]]
+        assert [job[0].tolist() for job in report.jobs] == [[[1, 10**8, 0]]]
         assert peak < 2 * 2**20
 
     def test_oversized_grid_refused_before_any_job(self, monkeypatch, capsys):
@@ -109,7 +109,7 @@ class TestConfigValidation:
 
     def test_largest_int32_s_keeps_its_row(self):
         report = run_sweep(SweepConfig(identity="theorem1", n_max=16, s_values=(2**31 - 1,)))
-        assert report.params.tolist() == [[1, 2**31 - 1, 0]]
+        assert [job[0].tolist() for job in report.jobs] == [[[1, 2**31 - 1, 0]]]
 
     @pytest.mark.parametrize("identity, n_max", [("theorem2", 4096), ("lemma34", 10**4)])
     def test_row_budget_admits_the_largest_checked_grids(self, identity, n_max, monkeypatch):
@@ -197,6 +197,19 @@ class TestSweepContents:
             assert sum(report.summary.values()) == len(report)
             assert {r.status for r in report.records} <= set(STATUS_NAMES)
 
+    def test_sweep_holds_its_rows_once(self):
+        # The report keeps each job's columns as the job returned them; a
+        # whole-report concatenation would hold every row twice (about 2.1x).
+        config = SweepConfig(identity="theorem2", n_max=1024, s_values=(1, 2, 3))
+        run_sweep(config)  # warm the character and factorization caches
+        tracemalloc.start()
+        try:
+            report = run_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(column.nbytes for job in report.jobs for column in job)
+
 
 def _sweep(identity, parallelism):
     if identity == STRICT_GEN:
@@ -245,6 +258,16 @@ class TestDeterminismAndParallelism:
         run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))  # unknown CPU count: serial
         assert pools == [4]
 
+    def test_tolerance_travels_with_the_job_into_workers(self, monkeypatch):
+        # Every zhao_cao sum rounds to its rhs, so at 1e-300 exactly the rows with float noise fail.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial, parallel = (
+            run_sweep(SweepConfig(identity="zhao_cao", n_max=30, tolerance=1e-300, parallelism=jobs)) for jobs in (1, 2)
+        )
+        assert serial.summary["fail"] > 0
+        assert all((r.status == "fail") == (r.residual >= 1e-300) for r in serial.records)
+        assert serial.records == parallel.records
+
     def test_repeat_run_byte_identical(self):
         cfg = SweepConfig(identity="theorem1", n_max=81, s_values=(2,))
         assert format_report(run_sweep(cfg), "csv") == format_report(run_sweep(cfg), "csv")
@@ -270,7 +293,7 @@ class TestRemark:
         assert rec.lhs == res.rounded
         assert abs(rec.residual - res.residual) < 1e-12
         assert rec.rhs == klee_phi(4, 2) * tau_s(4 // conductor(chi), 2)
-        assert report.params.tolist() == [[4, 2, character_group(4).flat_index(chi)]]
+        assert [job[0].tolist() for job in report.jobs] == [[[4, 2, character_group(4).flat_index(chi)]]]
 
     def test_csv_row_shape(self):
         line = format_report(reproduce_remark(), "csv").decode().splitlines()[1]
@@ -410,7 +433,7 @@ class TestFormats:
         built = []
         monkeypatch.setattr(harness, "character_labels", lambda n: built.append(n) or character_labels(n))
         format_report(report, "csv")
-        assert len(report.ends) == 51
+        assert len(report.jobs) == 51
         assert len(built) == 20
 
     def test_unknown_format(self):
