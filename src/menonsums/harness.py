@@ -1,18 +1,18 @@
 """Verification sweeps over the identity grids, with serializable reports.
 
 Every identity is one row of ``_SPECS``: its report fields, n_max bound
-and default, and job grid, plus either scalar rows or the weights,
-qualifier and conductor rhs of a sum over all characters of one modulus.
-``_run_job`` is the one runner for both kinds.  Every sweep exhaustively
-enumerates its grid (all qualifying n, s and characters), emits one record
-per instance, and aggregates a pass/fail/skipped summary.  Each job returns
-its final rows as numpy columns, tolerance test included, so that the large
-theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is refused before
-any job runs.  A report keeps each job's columns in grid order, never
-concatenated, and decodes them into plain lists one run at a time: a job's
-rows, at most ``_RUN_ROWS`` of them.  CSV and text write each row
-through one ``%`` template, JSON through one f-string.  Record order is fixed
-by the grid, so the records, CSV and text are byte-identical at any
+and default, and job grid, plus either scalar rows or the weights of a sum
+over all characters of one modulus with one rhs(d, *head) per conductor d,
+None outside its hypothesis.  ``_run_job`` is the one runner for both kinds.
+Every sweep exhaustively enumerates its grid (all n, s and characters), emits
+one record per instance, and aggregates a pass/fail/skipped summary.  Each
+job returns its final rows as numpy columns, tolerance test included, so that
+the large theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is
+refused before any job runs.  A report keeps each job's columns in grid
+order, never concatenated, and decodes them into plain lists one run at a
+time: a job's rows, at most ``_RUN_ROWS`` of them.  CSV and text write each
+row through one ``%`` template, JSON through one f-string.  Record order is
+fixed by the grid, so the records, CSV and text are byte-identical at any
 parallelism; JSON differs only in the echoed config.parallelism.
 """
 
@@ -141,17 +141,15 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _shaped(conds: np.ndarray, n: int, s: int) -> np.ndarray:
-    """Mask of the conductors m**(t*s) with n = m**(q*s), m >= 2, 1 <= t <= q,
-    which Theorem 2 covers.  Every such m is a power of the root r with n = r**g,
-    g the gcd of n's prime exponents, so they are the r**(t*s) with s | g and
-    1 <= t <= g/s."""
+def _shaped(d: int, n: int, s: int) -> bool:
+    """Whether d = m**(t*s) with n = m**(q*s), m >= 2, 1 <= t <= q, the
+    conductors Theorem 2 covers.  Every such m is a power of the root r with
+    n = r**g, g the gcd of n's prime exponents, so they are the r**(t*s) with
+    s | g and 1 <= t <= g/s."""
     factors = factorize(n).factors
     g = math.gcd(*(e for _, e in factors))  # 0 at n = 1
-    if g % s:
-        return np.zeros(conds.shape, dtype=bool)
     r = math.prod(p ** (e // g) for p, e in factors)
-    return np.isin(conds, [r ** (t * s) for t in range(1, g // s + 1)])
+    return g % s == 0 and d in [r ** (t * s) for t in range(1, g // s + 1)]
 
 
 def _batch_grid(n_max: int, s_values) -> list[tuple]:
@@ -197,15 +195,17 @@ def _cohen_rows(s: int, lo: int, hi: int):
     return params, measured, expected, ok
 
 
-def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int:
+def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int | None:
+    if not _shaped(d, p**n_exp, s):
+        return None
     l = round(math.log(d, p))
     if l <= m:
         return klee_phi(p ** (n_exp - m), s)
     return -(p ** (n_exp - l)) if m == l - s else 0
 
 
-def _theorem2_rhs(d: int, n: int, s: int) -> int:
-    return klee_phi(n, s) * tau_s(n // d, s)
+def _theorem2_rhs(d: int, n: int, s: int) -> int | None:
+    return klee_phi(n, s) * tau_s(n // d, s) if _shaped(d, n, s) else None
 
 
 class IdentitySpec(NamedTuple):
@@ -214,10 +214,11 @@ class IdentitySpec(NamedTuple):
     A scalar identity gives rows(*head) -> (params, lhs, rhs, ok), and
     count(n, s) rows at n.  A character identity sums weights(*head), by
     default the F_s weights (k-1, n)_s, against every character of the
-    modulus n (or p**n_exp) and compares each sum with rhs(d, *head), d the
-    conductor; characters outside qualifies(conductors, *head) are reported
-    skipped, or left out when drop is set.  Evaluators are looked up when a
-    job runs, never bound here, so a wrapped module attribute is what runs.
+    modulus n (or p**n_exp) and compares each sum with its one claim per
+    conductor d, rhs(d, *head); a claim of None lies outside the identity's
+    hypothesis, and its characters are reported skipped, or left out when
+    drop is set.  Evaluators are looked up when a job runs, never bound
+    here, so a wrapped module attribute is what runs.
     """
 
     fields: tuple[str, ...]
@@ -226,7 +227,6 @@ class IdentitySpec(NamedTuple):
     grid: Callable  # (n_max, s_values) -> the leading params of each job, in report order
     rows: Callable | None = None
     weights: Callable = lambda n, s: generalized_weights(n, s)
-    qualifies: Callable | None = None  # None: every character qualifies
     rhs: Callable | None = None
     drop: bool = False
     count: Callable = lambda n, s: 1  # rows of a scalar identity at n
@@ -252,36 +252,31 @@ _SPECS: dict[str, IdentitySpec] = {
     "theorem1": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 256,
         _powers_grid(1),
-        qualifies=lambda conds, n, s: conds == n,
-        rhs=lambda d, n, s: klee_phi(n, s),
+        rhs=lambda d, n, s: klee_phi(n, s) if d == n else None,
         drop=True,
     ),
     "theorem2": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 512,
         _powers_grid(2),
-        qualifies=_shaped,
         rhs=_theorem2_rhs,
     ),
     "lemma31": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
         weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
-        qualifies=lambda conds, p, n_exp, s, m: conds == p**n_exp,
-        rhs=lambda d, p, n_exp, s, m: -1 if m == n_exp - s else 0,
+        rhs=lambda d, p, n_exp, s, m: (-1 if m == n_exp - s else 0) if d == p**n_exp else None,
         drop=True,
     ),
     "lemma33": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
         weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
-        qualifies=lambda conds, p, n_exp, s, m: _shaped(conds, p**n_exp, s),
         rhs=_lemma33_rhs,
     ),
     # At n = p**a and conductor d = p**(r*s), tau_s(n/d) is Lemma 3.4's a/s - r + 1.
     "lemma34": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 1024,
         lambda n_max, s_values: [(p**a, s) for p, a, s in _prime_powers(n_max, s_values, 1)],
-        qualifies=_shaped,
         rhs=_theorem2_rhs,
     ),
     "cohen_partition": IdentitySpec(
@@ -293,7 +288,7 @@ _SPECS: dict[str, IdentitySpec] = {
     STRICT_GEN: IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 36,
         lambda n_max, s_values: [(n, s) for s in s_values for n in range(1, n_max + 1)],
-        rhs=_theorem2_rhs,
+        rhs=lambda d, n, s: klee_phi(n, s) * tau_s(n // d, s),  # Theorem 2 at every conductor
     ),
 }
 
@@ -335,16 +330,15 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
         status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
         return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
     group = character_group(_modulus(spec.fields, head))
-    conds = group.conductors()
-    keep = np.ones(conds.size, dtype=bool) if spec.qualifies is None else spec.qualifies(conds, *head)
-    sums = group.all_sums(spec.weights(*head)) if keep.any() else np.zeros(conds.size)
+    classes, of = np.unique(group.conductors(), return_inverse=True)
+    claims = [spec.rhs(d, *head) for d in classes.tolist()]  # one per conductor, None: no claim
+    keep = np.array([c is not None for c in claims])[of]
+    sums = group.all_sums(spec.weights(*head)) if keep.any() else np.zeros(of.size)
     lhs, residual = _rounded_parts(sums, group, head[spec.fields.index("s")], keep)
-    rhs = np.zeros(conds.size, dtype=np.int64)
-    for d in np.unique(conds[keep]):
-        rhs[conds == d] = spec.rhs(int(d), *head)
+    rhs = np.array([c or 0 for c in claims], dtype=np.int64)[of]
     ok = (lhs == rhs) & (residual < tolerance)  # a NaN residual fails
     status = np.where(keep, np.where(ok, STATUS_PASS, STATUS_FAIL), STATUS_SKIP).astype(np.int8)
-    rows = np.flatnonzero(keep) if spec.drop else np.arange(conds.size)
+    rows = np.flatnonzero(keep) if spec.drop else np.arange(of.size)
     params = np.empty((rows.size, len(head) + 1), dtype=np.int32)
     params[:, :-1] = head
     params[:, -1] = rows

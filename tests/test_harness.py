@@ -1,5 +1,6 @@
 """Sweep harness: grids, reports, serialization, CLI, exit codes."""
 
+import functools
 import importlib.util
 import json
 import math
@@ -21,6 +22,7 @@ from menonsums import (
     conductor,
     divisor_tau,
     divisors,
+    enumerate_characters,
     euler_phi,
     format_report,
     generalized_sum,
@@ -175,9 +177,29 @@ class TestSweepContents:
                     covered[m ** (q * s)].update(m ** (t * s) for t in range(1, q + 1))
                     q += 1
             for n in range(1, n_max + 1):
-                conds = np.array(divisors(n))
-                expected = [d in covered[n] for d in conds.tolist()]
-                assert harness._shaped(conds, n, s).tolist() == expected, (n, s)
+                for d in divisors(n):
+                    assert harness._shaped(d, n, s) == (d in covered[n]), (n, d, s)
+
+    @pytest.mark.parametrize("identity", ["zhao_cao", "theorem1", "theorem2", "lemma31", "lemma33", "lemma34", STRICT_GEN])
+    def test_claims_decide_skipping(self, identity):
+        # A row is skipped exactly when the spec makes no claim (None) at its
+        # character's conductor, read here through the per-character API.
+        spec = harness._SPECS[identity]
+        n_max = 256 if identity.startswith("lemma") else 64
+        if identity == STRICT_GEN:
+            report = search_counterexamples(n_max, (1, 2))
+        else:
+            report = run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=(1, 2)))
+        conductors = functools.cache(lambda n: [conductor(chi) for chi in enumerate_characters(n)])
+        for rec in report.records:
+            *head, j = rec.params.values()
+            claim = spec.rhs(conductors(harness._modulus(spec.fields, head))[j], *head)
+            assert (rec.status == "skipped") == (claim is None), rec
+            assert claim is None or rec.rhs == claim, rec
+        if spec.drop:  # a job keeps exactly its characters with a claim
+            for head, job in zip(spec.grid(n_max, (1, 2)), report.jobs, strict=True):
+                claims = [spec.rhs(d, *head) for d in conductors(harness._modulus(spec.fields, head))]
+                assert job[-1].size == sum(c is not None for c in claims), head
 
     def test_sury_at_n1_accepts_more_than_64_variables(self, capsys):
         assert main(["verify", "sury", "--n-max", "1", "--s", "66", "--format", "csv"]) == 0
