@@ -1,9 +1,10 @@
 """Verification sweeps over the identity grids, with serializable reports.
 
 Every identity is one row of ``_SPECS``: its report fields, n_max bound
-and default, and job grid, plus either scalar rows or the weights of a sum
-over all characters of one modulus with one rhs(d, *head) per conductor d,
-None outside its hypothesis.  ``_run_job`` is the one runner for both kinds.
+and default, and job grid, plus either a scalar check at each point(n, s) of
+each n or the weights of a sum over all characters of one modulus with one
+rhs(d, *head) per conductor d, None outside its hypothesis.  ``_run_job`` is
+the one runner for both kinds.
 Every sweep exhaustively enumerates its grid (all n, s and characters), emits
 one record per instance, and aggregates a pass/fail/skipped summary.  Each
 job returns its final rows as numpy columns, tolerance test included, so that
@@ -77,10 +78,10 @@ class IdentityReport:
     """Result of a sweep: per job, in grid order, the columns (params, lhs,
     residual, rhs, status) that _run_job returns; one row per grid instance."""
 
-    def __init__(self, config, param_fields, jobs):
+    def __init__(self, config, jobs):
         self.config = config
         self.identity = config.identity
-        self.param_fields = param_fields
+        self.param_fields = _SPECS[config.identity].fields
         self.jobs = jobs
 
     def __len__(self) -> int:
@@ -177,22 +178,8 @@ def _lemma_grid(n_max: int, s_values) -> list[tuple]:
     return [(p, a, s, m) for p, a, s in _prime_powers(n_max, s_values, 2) for m in range(s, a, s)]
 
 
-def _gcd_rows(lhs_of, rhs_of):
-    """rows() of a classical gcd-sum identity with sides lhs_of(n, s), rhs_of(n, s)."""
-
-    def rows(s: int, lo: int, hi: int):
-        params = [(n, s) for n in range(lo, hi + 1)]
-        lhs = [lhs_of(n, s) for n, s in params]
-        rhs = [rhs_of(n, s) for n, s in params]
-        return params, lhs, rhs, [a == b for a, b in zip(lhs, rhs)]
-
-    return rows
-
-
-def _cohen_rows(s: int, lo: int, hi: int):
-    params = [(n, s, d) for n in range(lo, hi + 1) for d in power_divisors(n, s)]
-    ok, measured, expected = zip(*(cohen_partition_stats(*row) for row in params))
-    return params, measured, expected, ok
+def _compared(lhs: int, rhs: int) -> tuple[bool, int, int]:
+    return lhs == rhs, lhs, rhs
 
 
 def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int | None:
@@ -211,37 +198,37 @@ def _theorem2_rhs(d: int, n: int, s: int) -> int | None:
 class IdentitySpec(NamedTuple):
     """One swept identity.
 
-    A scalar identity gives rows(*head) -> (params, lhs, rhs, ok), and
-    count(n, s) rows at n.  A character identity sums weights(*head), by
-    default the F_s weights (k-1, n)_s, against every character of the
-    modulus n (or p**n_exp) and compares each sum with its one claim per
-    conductor d, rhs(d, *head); a claim of None lies outside the identity's
-    hypothesis, and its characters are reported skipped, or left out when
-    drop is set.  Evaluators are looked up when a job runs, never bound
-    here, so a wrapped module attribute is what runs.
+    A scalar identity has one row at each point(n, s) of each n of a job
+    (s, lo, hi), checked by check(n, s, *point) -> (ok, lhs, rhs).  A
+    character identity sums weights(*head), by default the F_s weights
+    (k-1, n)_s, against every character of the modulus n (or p**n_exp) and
+    compares each sum with its one claim per conductor d, rhs(d, *head); a
+    claim of None lies outside the identity's hypothesis, and its characters
+    are reported skipped, or left out when drop is set.  Evaluators are
+    looked up when a job runs, so a wrapped module attribute is what runs.
     """
 
     fields: tuple[str, ...]
     n_max: int
     default_n_max: int  # the n_max of a CLI run without --n-max
     grid: Callable  # (n_max, s_values) -> the leading params of each job, in report order
-    rows: Callable | None = None
+    check: Callable | None = None
     weights: Callable = lambda n, s: generalized_weights(n, s)
     rhs: Callable | None = None
     drop: bool = False
-    count: Callable = lambda n, s: 1  # rows of a scalar identity at n
+    points: Callable = lambda n, s: [()]  # the rows of a scalar identity at n
 
 
 _SPECS: dict[str, IdentitySpec] = {
     "menon": IdentitySpec(
         ("n", "s"), SUM_BOUND, 1000,
         lambda n_max, s_values: _batch_grid(n_max, (1,)),
-        rows=_gcd_rows(lambda n, s: menon_sum(n), lambda n, s: euler_phi(n) * divisor_tau(n)),
+        check=lambda n, s: _compared(menon_sum(n), euler_phi(n) * divisor_tau(n)),
     ),
     "sury": IdentitySpec(
         ("n", "s"), TUPLE_BOUND, 30,
         _batch_grid,
-        rows=_gcd_rows(lambda n, s: sury_sum(n, s), lambda n, s: euler_phi(n) * sigma(n, s - 1)),
+        check=lambda n, s: _compared(sury_sum(n, s), euler_phi(n) * sigma(n, s - 1)),
     ),
     "zhao_cao": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 100,
@@ -282,8 +269,8 @@ _SPECS: dict[str, IdentitySpec] = {
     "cohen_partition": IdentitySpec(
         ("n", "s", "d"), PARTITION_BOUND, 200,
         _batch_grid,
-        rows=_cohen_rows,
-        count=lambda n, s: tau_s(n, s),
+        check=lambda n, s, d: cohen_partition_stats(n, s, d),
+        points=lambda n, s: [(d,) for d in power_divisors(n, s)],
     ),
     STRICT_GEN: IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 36,
@@ -324,8 +311,10 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
     passes when lhs == rhs and its residual is below the tolerance."""
     ident, head, tolerance = job
     spec = _SPECS[ident]
-    if spec.rows is not None:
-        params, lhs, rhs, ok = spec.rows(*head)
+    if spec.check is not None:
+        s, lo, hi = head
+        params = [(n, s, *point) for n in range(lo, hi + 1) for point in spec.points(n, s)]
+        ok, lhs, rhs = zip(*(spec.check(*row) for row in params))
         lhs = np.asarray(lhs, dtype=np.int64)
         status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
         return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
@@ -372,14 +361,14 @@ def _validate_config(config: SweepConfig, identity_set) -> None:
 
 def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
     """Refuse a grid of more than ROW_BUDGET rows before any job runs, counting
-    phi(modulus) per character job (dropped rows included) and spec.count per
-    n of a scalar job (s, lo, hi); counting stops once past the budget."""
+    phi(modulus) per character job (dropped rows included) and the points of
+    each n of a scalar job (s, lo, hi); counting stops once past the budget."""
     total = 0
     for head in heads:
-        if spec.rows is None:
+        if spec.check is None:
             total += euler_phi(_modulus(spec.fields, head))
         else:
-            total += sum(spec.count(n, head[0]) for n in range(head[1], head[2] + 1))
+            total += sum(len(spec.points(n, head[0])) for n in range(head[1], head[2] + 1))
         if total > ROW_BUDGET:
             raise ResourceError(f"{identity} sweep refused: {total} rows counted exceed the budget {ROW_BUDGET}")
 
@@ -396,7 +385,7 @@ def _execute(config: SweepConfig) -> IdentityReport:
             results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
     else:
         results = list(map(_run_job, jobs))
-    return IdentityReport(config, spec.fields, results)
+    return IdentityReport(config, results)
 
 
 def run_sweep(config: SweepConfig) -> IdentityReport:
@@ -422,7 +411,7 @@ def reproduce_remark() -> IdentityReport:
     lhs, rhs = job[1][0], job[3][0]
     if lhs != 5 or rhs != 6:
         raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs}, RHS={rhs}")
-    return IdentityReport(config, _SPECS[STRICT_GEN].fields, [job])
+    return IdentityReport(config, [job])
 
 
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:

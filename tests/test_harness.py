@@ -125,7 +125,7 @@ class TestConfigValidation:
         with pytest.raises(Admitted):
             run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=(1, 2, 3)))
 
-    @pytest.mark.parametrize("identity", ["theorem2", "lemma33", "cohen_partition", "menon"])
+    @pytest.mark.parametrize("identity", ["theorem2", "lemma33", "cohen_partition", "menon", "sury"])
     def test_row_count_is_exact_without_drop(self, identity, monkeypatch):
         config = SweepConfig(identity=identity, n_max=64, s_values=(1, 2))
         rows = len(run_sweep(config))
@@ -137,6 +137,26 @@ class TestConfigValidation:
 
 
 class TestSweepContents:
+    @pytest.mark.parametrize("identity", ["menon", "sury", "cohen_partition"])
+    def test_scalar_row_fails_exactly_where_its_check_fails(self, identity, monkeypatch, capsys):
+        # One wrong evaluation at n = 12; d = 4 = 2**2 is an s-th power divisor of 12 at s = 1 and 2.
+        failing = {
+            "menon": [{"n": 12, "s": 1}],  # menon's grid has s = 1 only
+            "sury": [{"n": 12, "s": 1}, {"n": 12, "s": 2}],
+            "cohen_partition": [{"n": 12, "s": 1, "d": 4}, {"n": 12, "s": 2, "d": 4}],
+        }[identity]
+        menon, sury, cohen = harness.menon_sum, harness.sury_sum, harness.cohen_partition_stats
+        monkeypatch.setattr(harness, "menon_sum", lambda n: menon(n) + (n == 12))
+        monkeypatch.setattr(harness, "sury_sum", lambda n, s: sury(n, s) + (n == 12))
+        monkeypatch.setattr(
+            harness, "cohen_partition_stats", lambda n, s, d: (False, 0, 1) if (n, d) == (12, 4) else cohen(n, s, d)
+        )
+        report = run_sweep(SweepConfig(identity=identity, n_max=20, s_values=(1, 2)))
+        assert [r.params for r in report.records if r.status == "fail"] == failing
+        assert report.summary["fail"] == len(failing) and report.summary["pass"] == len(report) - len(failing)
+        assert main(["verify", identity, "--n-max", "20", "--s", "1,2", "--format", "csv"]) == 1
+        capsys.readouterr()
+
     def test_menon_single_record(self):
         report = run_sweep(SweepConfig(identity="menon", n_max=1))
         assert len(report) == 1
