@@ -208,7 +208,7 @@ def eval_character(chi: DirichletCharacter, k: int) -> CharValue:
     """chi(k): zero when gcd(k, n) > 1, else an exact root of unity."""
     n = chi.modulus
     parts = _component_structures(chi)
-    r = k % n if n > 1 else 0
+    r = k % n
     if math.gcd(r, n) != 1:
         return CharValue.zero()
     turn = Fraction(0)

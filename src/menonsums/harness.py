@@ -4,7 +4,9 @@ Every identity is one row of ``_SPECS``: its report fields, n_max bound
 and default, and job grid, plus either a scalar check at each point(n, s) of
 each n or the weights of a sum over all characters of one modulus with one
 rhs(d, *head) per conductor d, None outside its hypothesis.  ``_run_job`` is
-the one runner for both kinds.
+the one runner for both kinds, and ``run_sweep`` the one pipeline from a
+config to a report for every identity: the counterexample search is its
+strict_gen sweep, and the remark is one row of that sweep.
 Every sweep exhaustively enumerates its grid (all n, s and characters), emits
 one record per instance, and aggregates a pass/fail/skipped summary.  Each
 job returns its final rows as numpy columns, tolerance test included, so that
@@ -334,9 +336,9 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
     return params, lhs[rows], residual[rows], rhs[rows], status[rows]
 
 
-def _validate_config(config: SweepConfig, identity_set) -> None:
-    if config.identity not in identity_set:
-        raise DomainError(f"unknown identity {config.identity!r}; choose from {identity_set}")
+def _validate_config(config: SweepConfig) -> None:
+    if config.identity not in _SPECS:
+        raise DomainError(f"unknown identity {config.identity!r}; choose from {tuple(_SPECS)}")
     if config.n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {config.n_max}")
     bound = _SPECS[config.identity].n_max
@@ -373,7 +375,13 @@ def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
             raise ResourceError(f"{identity} sweep refused: {total} rows counted exceed the budget {ROW_BUDGET}")
 
 
-def _execute(config: SweepConfig) -> IdentityReport:
+def run_sweep(config: SweepConfig) -> IdentityReport:
+    """Run the configured sweep, of any identity in _SPECS, and return its report.
+
+    The config is validated and the grid's rows counted before any job runs;
+    a bound violation refuses the whole run rather than truncating it.
+    """
+    _validate_config(config)
     spec = _SPECS[config.identity]
     heads = spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))
     _admit(config.identity, spec, heads)
@@ -388,42 +396,31 @@ def _execute(config: SweepConfig) -> IdentityReport:
     return IdentityReport(config, results)
 
 
-def run_sweep(config: SweepConfig) -> IdentityReport:
-    """Run the configured sweep and return its full report.
-
-    Grid bounds are validated before any computation starts; a bound
-    violation refuses the whole run rather than truncating it.
-    """
-    _validate_config(config, IDENTITIES)
-    return _execute(config)
-
-
 def reproduce_remark() -> IdentityReport:
     """Evaluate the strict-generalization counterexample n=4, s=2, principal.
 
-    The record is row 0 (the principal character) of the strict_gen job at
-    n=4, s=2.  It must come out LHS=5 vs RHS=6 with status fail; that failure
-    is the expected, documented outcome, so callers treat it as success.
-    Any other values raise IntegrityError.
+    The record is row 0 (the principal character) of the last job, n=4, of
+    the strict_gen sweep at n_max=4, s=2.  It must come out LHS=5 vs RHS=6
+    with status fail; that failure is the expected, documented outcome, so
+    callers treat it as success.  Any other values raise IntegrityError.
     """
-    config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
-    job = tuple(col[:1] for col in _run_job((STRICT_GEN, (4, 2), config.tolerance)))
+    report = run_sweep(SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,)))
+    job = tuple(col[:1] for col in report.jobs[-1])
     lhs, rhs = job[1][0], job[3][0]
     if lhs != 5 or rhs != 6:
         raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs}, RHS={rhs}")
-    return IdentityReport(config, [job])
+    return IdentityReport(report.config, [job])
 
 
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
     """Test the falsified identity sum = Phi_s(n) * tau_s(n/d) over every
-    modulus n <= n_max and every character, with no shape restriction.
+    modulus n <= n_max and every character, with no shape restriction: the
+    strict_gen sweep.
 
     Failing records are the findings; they are expected and do not signal
     an implementation problem.
     """
-    config = SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism)
-    _validate_config(config, (STRICT_GEN,))
-    return _execute(config)
+    return run_sweep(SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ above 0.5 is treated as an integrity failure rather than a value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +79,7 @@ def sury_sum(n: int, s_vars: int) -> int:
     gcd(m1, n) = 1 (asserted equal to phi(n) * sigma_{s-1}(n)).
 
     Evaluated by enumerating the inner (s-1)-fold gcd grid once, flat, and
-    reusing it for each admissible m1; the tuple count n**s_vars stays capped.
+    reducing it once per distinct gcd(m1-1, n) over units m1, times its count.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -93,16 +92,8 @@ def sury_sum(n: int, s_vars: int) -> int:
     # The check above leaves s_vars < 64 unless n = 1, where every step after the first keeps acc = [1].
     for _ in range(min(s_vars, 64) - 1):
         acc = np.gcd(acc[:, None], tail).ravel()
-    inner_cache: dict[int, int] = {}
-    total = 0
-    for m1 in range(1, n + 1):
-        if math.gcd(m1, n) != 1:
-            continue
-        g = math.gcd(m1 - 1, n)
-        if g not in inner_cache:
-            inner_cache[g] = int(np.gcd(acc, g).sum())
-        total += inner_cache[g]
-    return total
+    g, count = np.unique(np.gcd(tail - 1, n)[np.gcd(tail, n) == 1], return_counts=True)
+    return sum(c * int(np.gcd(acc, x).sum()) for x, c in zip(g.tolist(), count.tolist()))
 
 
 def _check_char_modulus(n: int, chi: DirichletCharacter, op: str) -> None:

@@ -271,6 +271,15 @@ class TestDeterminismAndParallelism:
         a, b = json.loads(format_report(serial, "json")), json.loads(format_report(parallel, "json"))
         assert a["records"] == b["records"] and a["summary"] == b["summary"]
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_search_is_the_strict_gen_sweep(self, parallelism, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sweep = run_sweep(SweepConfig(STRICT_GEN, 36, (2,), parallelism=parallelism))
+        search = search_counterexamples(36, (2,), parallelism=parallelism)
+        assert sweep.records == search.records
+        for fmt in ("csv", "text", "json"):
+            assert format_report(sweep, fmt) == format_report(search, fmt)
+
     def test_worker_pool_is_capped(self, monkeypatch):
         pools = []
 
