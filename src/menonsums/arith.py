@@ -179,8 +179,7 @@ def sigma(n: int, k: int = 1) -> int:
 
 
 def sgcd_table(n: int, s: int) -> np.ndarray:
-    """Vector w with w[j] = (j, n)_s for 0 <= j < n (w[0] = s-power part of n)."""
+    """int32 vector w with w[j] = (j, n)_s for 0 <= j < n (w[0] = s-power part of n)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    pds = np.array(power_divisors(n, s), dtype=np.int64)
-    return kernels.sgcd_weights(n, pds)
+    return kernels.sgcd_weights(n, power_divisors(n, s))

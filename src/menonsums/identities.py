@@ -107,8 +107,10 @@ def zhao_cao_weights(n: int) -> np.ndarray:
 
 
 def generalized_weights(n: int, s: int) -> np.ndarray:
-    """w[k] = (k-1, n)_s for the residues k in [0, n)."""
-    return sgcd_table(n, s)[(np.arange(n, dtype=np.int64) - 1) % n]
+    """w[k] = (k-1, n)_s for the residues k in [0, n): the sieve table rotated
+    one slot, so w[0] = (n-1, n)_s."""
+    w = sgcd_table(n, s)
+    return np.concatenate((w[-1:], w[:-1]))
 
 
 def zhao_cao_sum(n: int, chi: DirichletCharacter) -> SumResult:

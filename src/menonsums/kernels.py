@@ -15,24 +15,31 @@ def menon_gcd_sum(n: int) -> int:
     w[j] = gcd(j, n) is the s = 1 case of ``sgcd_weights``.  Its ascending
     divisors are the j <= sqrt(n) that divide n and their cofactors, not a
     factorization of n, so this lhs shares nothing with the phi(n) * tau(n)
-    it is checked against.  k is a unit exactly where w[k mod n] == 1, and
-    roll(w, 1)[k] = w[k-1].
+    it is checked against.  A k < n is a unit exactly where w[k] == 1 and
+    adds w[k-1], so the sum is one integer dot of w[:-1] with the mask of
+    w[1:]; k = n is a unit only at n = 1, where it adds gcd(0, 1) = 1.  No
+    array is rolled or gathered.  The dot accumulates in int32, which is
+    exact: the sum is at most Pillai's sum of gcd(j, n) over j < n, which is
+    at most n * tau(n), and that is at most 12,579,840 (at n = 98,280) for
+    n up to ``identities.SUM_BOUND`` = 10**5.
     """
     j = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
     small = j[n % j == 0]
     large = n // small[::-1]
-    w = sgcd_weights(n, np.concatenate((small, large[large > small[-1]])))
-    return int(np.roll(w, 1)[w == 1].sum())
+    w = sgcd_weights(n, np.concatenate((small, large[large > small[-1]])).tolist())
+    return int(w[:-1] @ (w[1:] == 1)) + (n == 1)
 
 
-def sgcd_weights(n: int, power_divisors: np.ndarray) -> np.ndarray:
-    """w[j] = (j, n)_s for 0 <= j < n, given the ascending l**s divisors of n.
+def sgcd_weights(n: int, power_divisors: list[int]) -> np.ndarray:
+    """w[j] = (j, n)_s for 0 <= j < n, in int32, given the ascending l**s
+    divisors of n as a list of ints.
 
-    Ascending order makes the last write per slot the largest divisor, which
-    is exactly the generalized gcd.  w[0] ends up as the s-power part of n,
-    matching the gcd(0, n) = n convention.
+    One slice write per divisor: ascending order makes the last write per
+    slot the largest divisor, which is exactly the generalized gcd.  w[0]
+    ends up as the s-power part of n, matching the gcd(0, n) = n convention.
+    Every entry divides n, so int32 holds it for every n below 2**31.
     """
-    w = np.ones(n, dtype=np.int64)
+    w = np.ones(n, dtype=np.int32)
     for d in power_divisors:
         w[::d] = d
     return w

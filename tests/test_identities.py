@@ -34,7 +34,7 @@ from menonsums import (
     zhao_cao_sum,
 )
 from menonsums import kernels
-from menonsums.identities import cohen_partition_stats, generalized_weights, zhao_cao_weights
+from menonsums.identities import SUM_BOUND, cohen_partition_stats, generalized_weights, zhao_cao_weights
 
 
 class TestMenon:
@@ -291,7 +291,9 @@ class TestKernelsMatchDefinitions:
     """Each kernel against a pure-Python statement of what it computes."""
 
     def test_menon_gcd_sum(self):
-        for n in [*range(1, 1501), 65536, 83160, 99991]:
+        # 98,280 has the largest n * tau(n) up to SUM_BOUND = 100,000, the
+        # bound on the int32 accumulator.
+        for n in [*range(1, 1501), 65536, 83160, 98280, 99991, SUM_BOUND]:
             direct = sum(math.gcd(k - 1, n) for k in range(1, n + 1) if math.gcd(k, n) == 1)
             assert kernels.menon_gcd_sum(n) == direct, n
 
@@ -320,8 +322,7 @@ class TestKernelsMatchDefinitions:
     def test_sgcd_weights_and_klee_count(self):
         for n in (1, 12, 360):
             for s in (1, 2, 3):
-                pds = np.array(power_divisors(n, s), dtype=np.int64)
-                w = kernels.sgcd_weights(n, pds)
+                w = kernels.sgcd_weights(n, power_divisors(n, s))
                 for j in range(n):
                     g = math.gcd(j, n)
                     assert w[j] == max(l**s for l in range(1, g + 1) if g % l**s == 0)
