@@ -13,10 +13,11 @@ character fact: ``unit_group_structure(p, a)`` gives generators, orders and
 dlogs, ``_component_conductor_table(p, a)`` conductors.  Enumeration order,
 labels, flat indices and conductors mod n are combined from them by CRT.
 
-``CharacterGroup`` holds per-modulus discrete-log tables so that sweeps can
-evaluate every character at every argument in vectorized form; the sums of
-all phi(n) characters against a common weight vector come out of one
-multidimensional DFT over the unit group.
+``CharacterGroup`` keeps one index per residue mod n, read off those
+tables: the flat position of a unit in the grid of generator exponents.
+Sweeps evaluate every character at every argument by gathers through it,
+and the sums of all phi(n) characters against a common weight vector come
+out of one multidimensional DFT over the unit group.
 """
 
 from __future__ import annotations
@@ -369,7 +370,12 @@ def _component_conductor_table(p: int, a: int) -> np.ndarray:
 
 
 class CharacterGroup:
-    """Dlog tables and bulk evaluators for the full character group mod n."""
+    """Bulk evaluators for the full character group mod n, over one index:
+    ``flat_index_of_k[k]`` is the flat position of k's dlog vector in the
+    grid ``orders`` of all generators of the prime powers of n, read off
+    their ``dlog_table``s by Horner, and -1 where k is not a unit.  Each
+    per-character vector is a grid table gathered through it; ``all_sums``
+    bins the weights by it."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -383,12 +389,13 @@ class CharacterGroup:
         self.order_lcm = math.lcm(*self.orders)
 
         k = np.arange(n, dtype=np.int64)
-        self.coprime = np.gcd(k, n) == 1
-        tables = (st.dlog_table[k % st.modulus] for st in self.structures)
-        self.dlogs = np.concatenate([np.zeros((n, 0), dtype=np.int64), *tables], axis=1)
-        strides = np.array([math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))], dtype=np.int64)
-        self.flat_index_of_k = np.where(self.coprime, self.dlogs @ strides, -1)
-        self._conductors: np.ndarray | None = None
+        self.coprime = np.ones(n, dtype=bool)
+        flat = np.zeros(n, dtype=np.int64)
+        for st in self.structures:
+            self.coprime &= k % st.prime != 0
+            for (_, order), column in zip(st.generators, st.dlog_table[k % st.modulus].T):
+                flat = flat * order + column
+        self.flat_index_of_k = np.where(self.coprime, flat, -1)
         self._labels: list[str] | None = None
 
     # -- per-character paths ------------------------------------------------
@@ -405,25 +412,19 @@ class CharacterGroup:
     def turn_numerators(self, chi: DirichletCharacter) -> np.ndarray:
         """t[k] with chi(k) = exp(2*pi*i*t[k]/lcm); -1 where chi(k) = 0."""
         L = self.order_lcm
-        c = np.array([v * (L // o) for v, o in zip(self._axes(chi), self.orders)], dtype=np.int64)
-        t = np.full(self.modulus, -1, dtype=np.int64)
-        t[self.coprime] = (self.dlogs[self.coprime] @ c) % L
-        return t
+        turns = np.zeros(1, dtype=np.int64)
+        for v, o in zip(self._axes(chi), self.orders):
+            turns = (turns[:, None] + np.arange(o) * (v * (L // o))).ravel()
+        return np.where(self.coprime, turns[self.flat_index_of_k] % L, -1)
 
     def char_sum(self, chi: DirichletCharacter, weights: np.ndarray) -> complex:
         """sum over k in [0, n) of weights[k] * chi(k)."""
-        t = self.turn_numerators(chi)
-        m = t >= 0
         w = np.ascontiguousarray(weights, dtype=np.float64)
-        return complex(np.sum(w[m] * _roots_of_unity(self.order_lcm)[t[m]]))
+        return complex(np.sum(w[self.coprime] * self.char_values(chi)[self.coprime]))
 
     def char_values(self, chi: DirichletCharacter) -> np.ndarray:
         """Complex vector of chi(k) for k in [0, n), zeros at non-units."""
-        t = self.turn_numerators(chi)
-        vals = np.zeros(self.modulus, dtype=np.complex128)
-        m = t >= 0
-        vals[m] = _roots_of_unity(self.order_lcm)[t[m]]
-        return vals
+        return np.where(self.coprime, _roots_of_unity(self.order_lcm)[self.turn_numerators(chi)], 0)
 
     # -- whole-group paths ----------------------------------------------------
 
@@ -442,14 +443,10 @@ class CharacterGroup:
 
     def conductors(self) -> np.ndarray:
         """Conductor of every character, indexed like all_sums output."""
-        if self._conductors is None:
-            out = np.ones(1, dtype=np.int64)
-            for st in self.structures:
-                table = _component_conductor_table(st.prime, st.exponent)
-                out = (out[:, None] * table[None, :]).ravel()
-            out.setflags(write=False)
-            self._conductors = out
-        return self._conductors
+        out = np.ones(1, dtype=np.int64)
+        for st in self.structures:
+            out = (out[:, None] * _component_conductor_table(st.prime, st.exponent)).ravel()
+        return out
 
     def character(self, flat: int) -> DirichletCharacter:
         axes = iter(np.unravel_index(flat, self.orders))

@@ -313,6 +313,31 @@ class TestBulkEngine:
                 direct = group.char_sum(chi, w)
                 assert abs(bulk[flat] - direct) < 1e-9, (n, flat)
 
+    # Every n <= 2000, 2**16, and two moduli with 2**a (a >= 3) beside three or more odd
+    # primes: 36960 = 2^5*3*5*7*11 and 360360 = 2^3*3^2*5*7*11*13.
+    def test_index_matches_gcd_and_dlog_rows(self):
+        for n in [*range(1, 2001), 36960, 360360, 2**16]:
+            group = CharacterGroup(n)
+            assert group.coprime.tolist() == [math.gcd(k, n) == 1 for k in range(n)], n
+            units = np.flatnonzero(group.coprime)
+            rows = [st.dlog_table[units % st.modulus] for st in group.structures]
+            axes = np.concatenate([np.zeros((units.size, 0), dtype=np.int32), *rows], axis=1).T
+            expected = np.full(n, -1)
+            expected[units] = np.ravel_multi_index(tuple(axes), group.orders) if group.orders else 0
+            assert group.flat_index_of_k.tolist() == expected.tolist(), n
+
+    # eval_character is zero exactly where gcd(k, n) > 1, so it is called at the units
+    # only, which takes the n = 2520 case from 21 s to 12 s.
+    @pytest.mark.parametrize("n", [840, 2520])
+    def test_turn_numerators_match_scalar_eval(self, n):
+        group = CharacterGroup(n)
+        units = [k for k in range(n) if math.gcd(k, n) == 1]
+        for flat, chi in enumerate(enumerate_characters(n)):
+            expected = np.full(n, -1)
+            turns = (eval_character(chi, k).turn for k in units)
+            expected[units] = [t.numerator * (group.order_lcm // t.denominator) for t in turns]
+            assert group.turn_numerators(chi).tolist() == expected.tolist(), (n, flat)
+
 
 class TestCharValueInvariants:
     def test_turn_reduced_and_denominator_divides_order(self):
