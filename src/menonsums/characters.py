@@ -13,11 +13,11 @@ character fact: ``unit_group_structure(p, a)`` gives generators, orders and
 dlogs, ``_component_conductor_table(p, a)`` conductors.  Enumeration order,
 labels, flat indices and conductors mod n are combined from them by CRT.
 
-``CharacterGroup`` keeps one index per residue mod n, read off those
-tables: the flat position of a unit in the grid of generator exponents.
-Sweeps evaluate every character at every argument by gathers through it,
-and the sums of all phi(n) characters against a common weight vector come
-out of one multidimensional DFT over the unit group.
+``CharacterGroup`` keeps one table, built forward from the generators:
+the unit at each point of the grid of generator exponents.  Sweeps scatter
+a character's grid values to those units, and the sums of all phi(n)
+characters against a common weight vector come out of one multidimensional
+DFT of the weights gathered there.  No dlog is read on that path.
 """
 
 from __future__ import annotations
@@ -370,12 +370,11 @@ def _component_conductor_table(p: int, a: int) -> np.ndarray:
 
 
 class CharacterGroup:
-    """Bulk evaluators for the full character group mod n, over one index:
-    ``flat_index_of_k[k]`` is the flat position of k's dlog vector in the
-    grid ``orders`` of all generators of the prime powers of n, read off
-    their ``dlog_table``s by Horner, and -1 where k is not a unit.  Each
-    per-character vector is a grid table gathered through it; ``all_sums``
-    bins the weights by it."""
+    """Bulk evaluators for the full character group mod n, over one table:
+    ``units[j]`` is the unit mod n at flat position j of the grid ``orders``
+    of all generators of the prime powers of n, one outer product of powers
+    per generator g of p**a, lifted by CRT to g mod p**a and 1 mod n / p**a.
+    Per-character vectors are scattered to it; ``all_sums`` gathers by it."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -388,14 +387,13 @@ class CharacterGroup:
         self.phi = math.prod(self.orders)
         self.order_lcm = math.lcm(*self.orders)
 
-        k = np.arange(n, dtype=np.int64)
-        self.coprime = np.ones(n, dtype=bool)
-        flat = np.zeros(n, dtype=np.int64)
+        self.units = np.ones(1, dtype=np.int64) % n
         for st in self.structures:
-            self.coprime &= k % st.prime != 0
-            for (_, order), column in zip(st.generators, st.dlog_table[k % st.modulus].T):
-                flat = flat * order + column
-        self.flat_index_of_k = np.where(self.coprime, flat, -1)
+            lift = n // st.modulus * pow(n // st.modulus, -1, st.modulus)  # 1 mod p**a, 0 mod the rest
+            for g, order in st.generators:
+                self.units = (self.units[:, None] * kernels.powers((1 + (g - 1) * lift) % n, order, n) % n).ravel()
+        self.coprime = np.zeros(n, dtype=bool)
+        self.coprime[self.units] = True
         self._labels: list[str] | None = None
 
     # -- per-character paths ------------------------------------------------
@@ -415,7 +413,9 @@ class CharacterGroup:
         turns = np.zeros(1, dtype=np.int64)
         for v, o in zip(self._axes(chi), self.orders):
             turns = (turns[:, None] + np.arange(o) * (v * (L // o))).ravel()
-        return np.where(self.coprime, turns[self.flat_index_of_k] % L, -1)
+        out = np.full(self.modulus, -1, dtype=np.int64)
+        out[self.units] = turns % L
+        return out
 
     def char_sum(self, chi: DirichletCharacter, weights: np.ndarray) -> complex:
         """sum over k in [0, n) of weights[k] * chi(k)."""
@@ -435,10 +435,7 @@ class CharacterGroup:
         sums into one multidimensional DFT, evaluated by fftn; entry j is in
         the canonical (lexicographic) character order.
         """
-        w = np.asarray(weights, dtype=np.float64)
-        grid = np.bincount(
-            self.flat_index_of_k[self.coprime], weights=w[self.coprime], minlength=self.phi
-        ).reshape(self.orders)
+        grid = np.asarray(weights, dtype=np.float64)[self.units].reshape(self.orders)
         return np.conj(np.fft.fftn(grid)).ravel()
 
     def conductors(self) -> np.ndarray:

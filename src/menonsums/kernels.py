@@ -62,11 +62,12 @@ def klee_brute_count(n: int, s: int) -> int:
     return int(unit.sum())
 
 
-def _powers(g: int, m: int, q: int) -> np.ndarray:
+def powers(g: int, m: int, q: int) -> np.ndarray:
     """g**j mod q for 0 <= j < m, doubling the known prefix at each step.
 
     Entries and multipliers are below q, so products stay below q**2, which
-    int64 holds for every q up to the 2**20 modulus bound.
+    int64 holds for every q = n <= ``characters.MODULUS_BOUND`` = 2**20,
+    prime power or not.
     """
     out = np.empty(m, dtype=np.int64)
     out[0] = 1
@@ -81,14 +82,14 @@ def _powers(g: int, m: int, q: int) -> np.ndarray:
 def dlog_cyclic(q: int, g: int, order: int) -> np.ndarray:
     """table[x] = j for x = g**j mod q, j in [0, order); -1 elsewhere."""
     table = np.full(q, -1, dtype=np.int32)
-    table[_powers(g, order, q)] = np.arange(order, dtype=np.int32)
+    table[powers(g, order, q)] = np.arange(order, dtype=np.int32)
     return table
 
 
 def dlog_two_gens(q: int, order5: int) -> np.ndarray:
     """table[x] = (i, j) for x = (-1)**i * 5**j mod q; -1 rows elsewhere."""
     table = np.full((q, 2), -1, dtype=np.int32)
-    x = _powers(5, order5, q)
+    x = powers(5, order5, q)
     table[x, 0] = 0
     table[q - x, 0] = 1
     table[x, 1] = table[q - x, 1] = np.arange(order5, dtype=np.int32)

@@ -313,18 +313,30 @@ class TestBulkEngine:
                 direct = group.char_sum(chi, w)
                 assert abs(bulk[flat] - direct) < 1e-9, (n, flat)
 
-    # Every n <= 2000, 2**16, and two moduli with 2**a (a >= 3) beside three or more odd
-    # primes: 36960 = 2^5*3*5*7*11 and 360360 = 2^3*3^2*5*7*11*13.
-    def test_index_matches_gcd_and_dlog_rows(self):
-        for n in [*range(1, 2001), 36960, 360360, 2**16]:
+    # Every n <= 2000, 2**16, 2**20 - 1 = 3*5^2*11*31*41, and moduli with 2**a (a >= 3)
+    # beside three or more odd primes: 36960 = 2^5*3*5*7*11, 360360 = 2^3*3^2*5*7*11*13
+    # and 720720 = 2^4*3^2*5*7*11*13.  The units are built by exponentiation; their
+    # dlog rows must give back each one's grid position.
+    def test_units_match_gcd_and_dlog_rows(self):
+        for n in [*range(1, 2001), 36960, 360360, 720720, 2**16, 2**20 - 1]:
             group = CharacterGroup(n)
             assert group.coprime.tolist() == [math.gcd(k, n) == 1 for k in range(n)], n
-            units = np.flatnonzero(group.coprime)
-            rows = [st.dlog_table[units % st.modulus] for st in group.structures]
-            axes = np.concatenate([np.zeros((units.size, 0), dtype=np.int32), *rows], axis=1).T
-            expected = np.full(n, -1)
-            expected[units] = np.ravel_multi_index(tuple(axes), group.orders) if group.orders else 0
-            assert group.flat_index_of_k.tolist() == expected.tolist(), n
+            assert sorted(group.units.tolist()) == np.flatnonzero(group.coprime).tolist(), n
+            rows = [st.dlog_table[group.units % st.modulus] for st in group.structures]
+            axes = np.concatenate([np.zeros((group.phi, 0), dtype=np.int32), *rows], axis=1).T
+            flat = np.ravel_multi_index(tuple(axes), group.orders) if group.orders else [0]
+            assert np.array_equal(flat, np.arange(group.phi)), n
+
+    def test_turn_numerators_match_scalar_eval_at_720720(self):
+        n = 720720
+        group = CharacterGroup(n)
+        rng = np.random.default_rng(18)
+        units = rng.choice(group.units, size=512, replace=False).tolist()
+        for flat in rng.choice(group.phi, size=16, replace=False).tolist():
+            chi = group.character(flat)
+            turns = (eval_character(chi, k).turn for k in units)
+            expected = [t.numerator * (group.order_lcm // t.denominator) for t in turns]
+            assert group.turn_numerators(chi)[units].tolist() == expected, flat
 
     # eval_character is zero exactly where gcd(k, n) > 1, so it is called at the units
     # only, which takes the n = 2520 case from 21 s to 12 s.

@@ -3,9 +3,10 @@ and of the char-table dump.
 
 The report digests in data/report_digests.json were recorded from the
 row-at-a-time formatter that preceded per-modulus formatting, the char-table
-digests from the character layer that preceded the per-prime-power rewrite,
-and the edge-values digests from the per-row formatter that preceded the
-per-value string tables.
+digests from the character layer that preceded the per-prime-power rewrite
+(n = 2520, five generators, from the dlog-indexed group that preceded the
+forward build of the units), and the edge-values digests from the per-row
+formatter that preceded the per-value string tables.
 A change that alters a single byte of any identity, format, parallelism or
 character table fails here.
 
@@ -64,7 +65,7 @@ def _reports():
 
 CASES = [(name, make, fmt) for name, make, fmts in _reports() for fmt in fmts]
 
-CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64, 97, 360, 1024) for fmt in ("csv", "json")]
+CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64, 97, 360, 1024, 2520) for fmt in ("csv", "json")]
 
 
 def _digest(make, fmt) -> str:
