@@ -8,16 +8,17 @@ fractions of a full turn; conversion to floating complex happens only when
 sums are accumulated.
 
 The character group mod n is the product of the groups mod its prime
-powers, so the per-prime-power tables are the single source of every
-character fact: ``unit_group_structure(p, a)`` gives generators, orders and
-dlogs, ``_component_conductor_table(p, a)`` conductors.  Enumeration order,
-labels, flat indices and conductors mod n are combined from them by CRT.
+powers, so the generators that ``unit_group_structure(p, a)`` gives are the
+single source of every character fact.  Enumeration order, labels, flat
+indices and conductors mod n are combined from them by CRT.
 
 ``CharacterGroup`` keeps one table, built forward from the generators:
 the unit at each point of the grid of generator exponents.  Sweeps scatter
 a character's grid values to those units, and the sums of all phi(n)
 characters against a common weight vector come out of one multidimensional
-DFT of the weights gathered there.  No dlog is read on that path.
+DFT of the weights gathered there.  No dlog is read on that path: a
+structure's ``dlog_table`` is built on first read, and only the scalar
+evaluator ``eval_character`` and the tests read it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from . import kernels
 from .arith import divisors, euler_phi, factorize, is_prime
 from .errors import DomainError, IntegrityError, ResourceError
 
-#: Largest prime-power (and largest character modulus) with dlog tables.
+#: Largest prime power, and largest character modulus, with a unit group structure.
 MODULUS_BOUND = 1 << 20
 
 
@@ -44,18 +45,30 @@ MODULUS_BOUND = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class UnitGroupStructure:
-    """Generators and discrete logs of (Z/p**a)^*.
+    """Generators of (Z/p**a)^*, each paired with its order.
 
-    ``dlog_table`` has one row per residue in [0, p**a); row k is the
-    exponent vector of k against ``generators`` (all entries -1 when k is
-    not a unit, and rows are empty when the group is trivial).
+    ``dlog_table`` is built on first read and kept with the structure.  It
+    has one row per residue in [0, p**a); row k is the exponent vector of k
+    against ``generators`` (all entries -1 when k is not a unit, and rows are
+    empty when the group is trivial).
     """
 
     modulus: int
     prime: int
     exponent: int
     generators: tuple[tuple[int, int], ...]
-    dlog_table: np.ndarray
+
+    @cached_property
+    def dlog_table(self) -> np.ndarray:
+        q = self.modulus
+        if len(self.generators) == 2:
+            table = kernels.dlog_two_gens(q, self.generators[1][1])
+        elif self.generators:
+            table = kernels.dlog_cyclic(q, *self.generators[0]).reshape(q, 1)
+        else:
+            table = np.full((q, 0), -1, dtype=np.int32)
+        table.setflags(write=False)
+        return table
 
 
 def _smallest_primitive_root(p: int, a: int) -> int:
@@ -71,7 +84,7 @@ def _smallest_primitive_root(p: int, a: int) -> int:
 
 @lru_cache(maxsize=None)
 def unit_group_structure(p: int, a: int) -> UnitGroupStructure:
-    """Canonical structure of (Z/p**a)^* with a complete dlog table."""
+    """Canonical generators of (Z/p**a)^*."""
     if a < 1:
         raise DomainError(f"exponent must be >= 1, got {a}")
     if not is_prime(p):
@@ -79,24 +92,14 @@ def unit_group_structure(p: int, a: int) -> UnitGroupStructure:
     q = p**a
     if q > MODULUS_BOUND:
         raise ResourceError(f"prime power {q} exceeds bound {MODULUS_BOUND}")
-    if p == 2:
-        if a == 1:
-            gens: tuple[tuple[int, int], ...] = ()
-            table = np.full((q, 0), -1, dtype=np.int32)
-        elif a == 2:
-            gens = ((3, 2),)
-            table = kernels.dlog_cyclic(q, 3, 2).reshape(q, 1)
-        else:
-            order5 = q // 4
-            gens = ((q - 1, 2), (5, order5))
-            table = kernels.dlog_two_gens(q, order5)
+    gens: tuple[tuple[int, int], ...]
+    if p != 2:
+        gens = ((_smallest_primitive_root(p, a), q // p * (p - 1)),)
+    elif a >= 3:
+        gens = ((q - 1, 2), (5, q // 4))
     else:
-        phi = q // p * (p - 1)
-        g = _smallest_primitive_root(p, a)
-        gens = ((g, phi),)
-        table = kernels.dlog_cyclic(q, g, phi).reshape(q, 1)
-    table.setflags(write=False)
-    return UnitGroupStructure(q, p, a, gens, table)
+        gens = ((3, 2),) if a == 2 else ()
+    return UnitGroupStructure(q, p, a, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +215,12 @@ def eval_character(chi: DirichletCharacter, k: int) -> CharValue:
     r = k % n
     if math.gcd(r, n) != 1:
         return CharValue.zero()
-    turn = Fraction(0)
+    L = math.lcm(*(order for _, _, st in parts for _, order in st.generators))
+    turn = 0
     for q, idx, st in parts:
-        row = st.dlog_table[r % q]
-        for v, e, (_, order) in zip(idx, row, st.generators):
-            turn += Fraction(v * int(e), order)
-    return CharValue.root(turn)
+        for v, e, (_, order) in zip(idx, st.dlog_table[r % q].tolist(), st.generators):
+            turn += v * e * (L // order)
+    return CharValue.root(Fraction(turn, L))
 
 
 def multiply_characters(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
@@ -236,15 +239,11 @@ def conductor(chi: DirichletCharacter) -> int:
     """Smallest induced modulus of chi: the least d | n with chi(k) = 1
     whenever k = 1 (mod d) and gcd(k, n) = 1.
 
-    Computed as the product of per-component conductors, each read from
-    ``_component_conductor_table``; the definition scan
+    Computed as the product of per-component conductors, each read from its
+    index vector by ``_index_conductors``; the definition scan
     ``conductor_by_definition`` must agree and is property-tested.
     """
-    out = 1
-    for _, idx, st in _component_structures(chi):
-        orders = tuple(order for _, order in st.generators)
-        out *= int(_component_conductor_table(st.prime, st.exponent)[np.ravel_multi_index(idx, orders)])
-    return out
+    return math.prod(int(_index_conductors(st, idx)) for _, idx, st in _component_structures(chi))
 
 
 def conductor_by_definition(chi: DirichletCharacter) -> int:
@@ -352,21 +351,20 @@ def _roots_of_unity(order: int) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=None)
-def _component_conductor_table(p: int, a: int) -> np.ndarray:
-    """Conductors of all characters mod p**a, flat in C order over indices: p**c
-    for the least c >= 1 with chi(1 + p**c) = 1 (1 + p**c generates the units
-    = 1 mod p**c, at p = 2 only for c >= 2), and 1 for the principal chi."""
-    st = unit_group_structure(p, a)
-    orders = np.array([order for _, order in st.generators], dtype=np.int64)
-    L = math.lcm(*orders.tolist())
-    v = np.indices(orders).reshape(orders.size, orders.prod()).T  # index vectors in C order
-    out = np.full(len(v), p**a, dtype=np.int64)
+def _index_conductors(st: UnitGroupStructure, v: tuple[int, ...] | np.ndarray) -> np.ndarray:
+    """Conductors of the characters of p**a whose index vectors are ``v``
+    (one tuple, or an array whose axis 0 runs over the generators).
+
+    The units = 1 (mod p**c), for c >= 1 (c >= 2 at p = 2), are the powers of
+    the last generator to the power of its order over p**(a - c), so chi is
+    trivial on them exactly when p**(a - c) divides chi's last index.  The
+    conductor is p**c for the least such c, and 1 for the principal chi.
+    """
+    p, a = st.prime, st.exponent
+    out = st.modulus
     for c in range(a - 1, 1 if p == 2 else 0, -1):
-        out[v @ (st.dlog_table[1 + p**c] * (L // orders)) % L == 0] = p**c
-    out[0] = 1
-    out.setflags(write=False)
-    return out
+        out = np.where(v[-1] % p ** (a - c) == 0, p**c, out)
+    return np.where(np.any(v, axis=0), out, 1)
 
 
 class CharacterGroup:
@@ -442,7 +440,8 @@ class CharacterGroup:
         """Conductor of every character, indexed like all_sums output."""
         out = np.ones(1, dtype=np.int64)
         for st in self.structures:
-            out = (out[:, None] * _component_conductor_table(st.prime, st.exponent)).ravel()
+            v = np.indices([order for _, order in st.generators])
+            out = (out[:, None] * _index_conductors(st, v).ravel()).ravel()
         return out
 
     def character(self, flat: int) -> DirichletCharacter:
