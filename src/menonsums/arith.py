@@ -25,6 +25,14 @@ FACTOR_BOUND = 10**7
 #: Largest n accepted by the brute-force Klee counter (oracle scale).
 BRUTE_BOUND = 10**5
 
+#: Most factorizations kept, the most recently used (about 1.6 MB).  A sweep
+#: asks for its moduli twice: every one in _admit (character grids and
+#: cohen_partition), then each again in its job, with small divisors of it.
+#: Past this many moduli the job's ask misses, a few microseconds each
+#: (0.2 s over cohen_partition n <= 10^4, s = 1, 2); unbounded, the cache
+#: would keep about 400 B per n for the rest of the process.
+FACTOR_CACHE = 4096
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -34,7 +42,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACTOR_CACHE)
 def factorize(n: int) -> Factorization:
     """Factor 1 <= n <= FACTOR_BOUND by trial division (2, 3, then 6k+-1)."""
     if n < 1:

@@ -15,9 +15,14 @@ search findings count as expected), 1 on an unexpected identity violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,7 +38,8 @@ from .harness import (
     format_report,
     reproduce_remark,
     run_sweep,
-    search_counterexamples,
+    search_config,
+    write_report,
 )
 
 
@@ -82,16 +88,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: bytes, output: str | None) -> None:
+@contextlib.contextmanager
+def _blamed(output: str) -> Iterator[None]:
+    """Report an OSError as the file output not written."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write {output}: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def _opened(output: str | None) -> Iterator[Callable[[bytes], object]]:
+    """The write function of the binary stream a report goes to: stdout, or
+    the file output.
+
+    A regular file (or a new one) is written through a temporary file beside
+    it that replaces it, mode kept, only once the whole report is written,
+    so a run that fails leaves it as it was; a device or pipe is written in
+    place.  An OSError from opening, writing, closing or replacing the file
+    names output as the file not written; an error raised between writes
+    passes through as it was raised.
+    """
     if output is None:
-        sys.stdout.buffer.write(payload)
+        yield sys.stdout.buffer.write
         sys.stdout.buffer.flush()
-    else:
+        return
+    path = os.path.realpath(output)  # through a symlink, replace its target
+    staged = not os.path.exists(path) or os.path.isfile(path)
+    tmp = f"{path}.{os.getpid()}.tmp" if staged else path
+
+    def write(payload: bytes) -> None:
+        with _blamed(output):
+            fh.write(payload)
+
+    try:
+        with _blamed(output):
+            fh = open(tmp, "wb")
         try:
-            with open(output, "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise DomainError(f"cannot write {output}: {exc.strerror}") from exc
+            yield write
+        except BaseException:
+            with contextlib.suppress(OSError):  # the run failed; its temporary file goes anyway
+                fh.close()
+            raise
+        with _blamed(output):
+            fh.close()
+            if staged:
+                if os.path.exists(path):
+                    os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+                os.replace(tmp, path)
+    finally:
+        if staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+
+
+def _emit(payload: bytes, output: str | None) -> None:
+    with _opened(output) as write:
+        write(payload)
 
 
 #: Most value cells, phi(n) characters times n arguments, that char-table writes.
@@ -137,6 +190,9 @@ def main(argv=None) -> int:
         if args.command == "char-table":
             _emit(char_table_bytes(args.n, args.format), args.output)
             return 0
+        if args.command == "remark":
+            _emit(format_report(reproduce_remark(), args.format), args.output)
+            return 0
         if args.command == "verify":
             n_max = args.n_max if args.n_max is not None else _SPECS[args.identity].default_n_max
             config = SweepConfig(
@@ -147,15 +203,15 @@ def main(argv=None) -> int:
                 output=args.format,
                 parallelism=args.jobs,
             )
-            report = run_sweep(config)
-        elif args.command == "remark":
-            report = reproduce_remark()
         else:
-            report = search_counterexamples(
-                args.n_max, _parse_s_values(args.s), tolerance=args.tolerance, parallelism=args.jobs
-            )
-        _emit(format_report(report, args.format), args.output)
-        return 1 if args.command == "verify" and report.summary["fail"] > 0 else 0
+            config = search_config(args.n_max, _parse_s_values(args.s), args.tolerance, args.jobs)
+        if args.format == "text":  # column widths need every row, so text is formatted whole
+            report = run_sweep(config)
+            _emit(format_report(report, "text"), args.output)
+            summary = report.summary
+        else:
+            summary = write_report(config, args.format, partial(_opened, args.output))
+        return 1 if args.command == "verify" and summary["fail"] > 0 else 0
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

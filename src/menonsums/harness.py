@@ -4,19 +4,23 @@ Every identity is one row of ``_SPECS``: its report fields, n_max bound
 and default, and job grid, plus either a scalar check at each point(n, s) of
 each n or the weights of a sum over all characters of one modulus with one
 rhs(d, *head) per conductor d, None outside its hypothesis.  ``_run_job`` is
-the one runner for both kinds, and ``run_sweep`` the one pipeline from a
-config to a report for every identity: the counterexample search is its
-strict_gen sweep, and the remark is one row of that sweep.
+the one runner for both kinds, and ``_results`` the one job loop from a
+config to its job results in grid order: ``run_sweep`` keeps them as a
+report for every identity (the counterexample search is its strict_gen
+sweep, and the remark is one row of that sweep), and ``write_report``
+formats each job where it ran and writes its bytes as they arrive.
 Every sweep exhaustively enumerates its grid (all n, s and characters), emits
 one record per instance, and aggregates a pass/fail/skipped summary.  Each
 job returns its final rows as numpy columns, tolerance test included, so that
 the large theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is
 refused before any job runs.  A report keeps each job's columns in grid
 order, never concatenated, and decodes them into plain lists one run at a
-time: a job's rows, at most ``_RUN_ROWS`` of them.  CSV and text write each
-row through one ``%`` template, JSON through one f-string.  Record order is
-fixed by the grid, so the records, CSV and text are byte-identical at any
-parallelism; JSON differs only in the echoed config.parallelism.
+time: a job's rows, at most ``_RUN_ROWS`` of them.  A job's CSV or JSON rows
+come from one function per format, between a head and a tail; CSV and text
+write each row through one ``%`` template, JSON through one f-string.
+Record order is fixed by the grid, so the records, CSV and text are
+byte-identical at any parallelism; JSON differs only in the echoed
+config.parallelism.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, ContextManager, Iterator, NamedTuple
 
 import numpy as np
 
@@ -91,8 +98,7 @@ class IdentityReport:
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = sum((np.bincount(job[-1], minlength=3) for job in self.jobs), np.zeros(3, np.int64))
-        return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}
+        return _summary(sum((np.bincount(job[-1], minlength=3) for job in self.jobs), np.zeros(3, np.int64)))
 
     @property
     def worst_residual(self) -> float:
@@ -103,20 +109,9 @@ class IdentityReport:
         return np.concatenate([job[column][job[-1] != STATUS_SKIP] for job in self.jobs] or [np.zeros(0)])
 
     def _runs(self) -> Iterator[tuple[list, ...]]:
-        """Each job's rows, at most _RUN_ROWS at a time, as plain lists: the
-        param columns by field, the chi labels (None without a chi field), lhs,
-        residual, rhs and status.  Labels are built again only when a job's
-        modulus differs from the previous job's."""
-        fields = self.param_fields
-        chi = fields.index("chi") if "chi" in fields else None
-        labelled = labels = None
-        for job in self.jobs:
-            if chi is not None and len(job[0]) and labelled != (n := _modulus(fields, job[0][0].tolist())):
-                labelled, labels = n, character_labels(n)
-            for a in range(0, len(job[0]), _RUN_ROWS):
-                params = job[0][a : a + _RUN_ROWS].T.tolist()
-                chis = None if chi is None else [labels[j] for j in params[chi]]
-                yield params, chis, *(col[a : a + _RUN_ROWS].tolist() for col in job[1:])
+        """Each job's rows, at most _RUN_ROWS at a time, as _job_runs decodes them."""
+        for job, labels in _labelled(self.param_fields, self.jobs):
+            yield from _job_runs(self.param_fields, job, labels)
 
     @property
     def records(self) -> list[SweepRecord]:
@@ -127,6 +122,33 @@ class IdentityReport:
                 row = dict(zip(self.param_fields, row))
                 records.append(SweepRecord(self.identity, row, chi, *cells, STATUS_NAMES[code]))
         return records
+
+
+def _summary(counts) -> dict[str, int]:
+    """The report summary of status counts indexed by status code."""
+    return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}
+
+
+def _labelled(fields: tuple[str, ...], jobs) -> Iterator[tuple[tuple, list[str] | None]]:
+    """Each job with its modulus's character labels (None without a chi
+    field); labels are built again only when a job's modulus differs from
+    the previous job's."""
+    labelled = labels = None
+    for job in jobs:
+        if "chi" in fields and len(job[0]) and labelled != (n := _modulus(fields, job[0][0].tolist())):
+            labelled, labels = n, character_labels(n)
+        yield job, labels
+
+
+def _job_runs(fields: tuple[str, ...], job: tuple, labels: list[str] | None) -> Iterator[tuple[list, ...]]:
+    """One job's rows, at most _RUN_ROWS at a time, as plain lists: the param
+    columns by field, the chi labels (None without a chi field), lhs,
+    residual, rhs and status."""
+    chi = fields.index("chi") if "chi" in fields else None
+    for a in range(0, len(job[0]), _RUN_ROWS):
+        params = job[0][a : a + _RUN_ROWS].T.tolist()
+        chis = None if chi is None else [labels[j] for j in params[chi]]
+        yield params, chis, *(col[a : a + _RUN_ROWS].tolist() for col in job[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +397,14 @@ def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
             raise ResourceError(f"{identity} sweep refused: {total} rows counted exceed the budget {ROW_BUDGET}")
 
 
-def run_sweep(config: SweepConfig) -> IdentityReport:
-    """Run the configured sweep, of any identity in _SPECS, and return its report.
+def _results(config: SweepConfig, task: Callable) -> Iterator:
+    """task(job) for each job (identity, head, tolerance) of the configured
+    sweep, of any identity in _SPECS, in grid order: serially, or in a pool
+    of config.parallelism workers.
 
-    The config is validated and the grid's rows counted before any job runs;
-    a bound violation refuses the whole run rather than truncating it.
+    The config is validated and the grid's rows counted here, before this
+    returns and before any job runs; a bound violation refuses the whole run
+    rather than truncating it.  The jobs run as the results are read.
     """
     _validate_config(config)
     spec = _SPECS[config.identity]
@@ -388,12 +413,60 @@ def run_sweep(config: SweepConfig) -> IdentityReport:
     jobs = [(config.identity, head, config.tolerance) for head in heads]
     # Under fork the pool starts every worker at its first submit, so cap them.
     workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
-    else:
-        results = list(map(_run_job, jobs))
-    return IdentityReport(config, results)
+    return _pooled(task, jobs, workers) if workers > 1 else map(task, jobs)
+
+
+def _pooled(task: Callable, jobs: list[tuple], workers: int) -> Iterator:
+    """task over jobs in a pool of workers, results in grid order.  Jobs go
+    out in chunks of len(jobs) // (32 * workers), at most 2*workers chunks
+    ahead of the one being read, so the finished results waiting in
+    this process stay a few chunks' worth however slowly they are read."""
+    size = max(1, len(jobs) // (workers * 32))
+    chunks = (jobs[a : a + size] for a in range(0, len(jobs), size))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(_run_chunk, task, chunk) for chunk in islice(chunks, 2 * workers))
+        try:
+            while pending:
+                results = pending.popleft().result()
+                pending.extend(pool.submit(_run_chunk, task, chunk) for chunk in islice(chunks, 1))
+                yield from results
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _run_chunk(task: Callable, jobs: list[tuple]) -> list:
+    return [task(job) for job in jobs]
+
+
+def run_sweep(config: SweepConfig) -> IdentityReport:
+    """Run the configured sweep, of any identity in _SPECS, and return its report.
+
+    The config is validated and the grid's rows counted before any job runs;
+    a bound violation refuses the whole run rather than truncating it.
+    """
+    return IdentityReport(config, list(_results(config, _run_job)))
+
+
+def write_report(
+    config: SweepConfig, fmt: str, open_out: Callable[[], ContextManager[Callable[[bytes], object]]]
+) -> dict[str, int]:
+    """Run the configured sweep and write its csv or json report, the bytes of
+    format_report(run_sweep(config), fmt), through the write function that
+    open_out() gives, one job at a time; return the summary.
+
+    Each job is formatted where it ran (in a pool worker at parallelism > 1),
+    and its bytes are written as soon as they arrive in grid order, then
+    dropped, so only a few jobs' rows, or at parallelism > 1 a few pool
+    chunks' (see _pooled), are held at once.  open_out is called once the
+    config is valid and the grid admitted.  A job that fails (IntegrityError)
+    ends the run with the jobs before it already written.
+    """
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"only csv and json are written job by job, got {fmt!r}")
+    results = _results(config, partial(_formatted_job, fmt))
+    with open_out() as write:
+        return _write_chunks(fmt, config, results, write)
 
 
 def reproduce_remark() -> IdentityReport:
@@ -412,6 +485,11 @@ def reproduce_remark() -> IdentityReport:
     return IdentityReport(report.config, [job])
 
 
+def search_config(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> SweepConfig:
+    """The config of the counterexample search: the strict_gen sweep."""
+    return SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism)
+
+
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
     """Test the falsified identity sum = Phi_s(n) * tau_s(n/d) over every
     modulus n <= n_max and every character, with no shape restriction: the
@@ -420,19 +498,19 @@ def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parall
     Failing records are the findings; they are expected and do not signal
     an implementation problem.
     """
-    return run_sweep(SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism))
+    return run_sweep(search_config(n_max, s_values, tolerance, parallelism))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _columns(report: IdentityReport) -> Iterator[tuple[list, ...]]:
-    """Per run of report._runs(), the plain lists n, s, chi cell, lhs, residual,
-    rhs and status code.  The chi cell is the label, then the m or d parameter
-    as m=... or d=... ("" when the report has none of chi, m and d)."""
-    fields = report.param_fields
-    for params, chi, *values in report._runs():
+def _columns(fields: tuple[str, ...], runs) -> Iterator[tuple[list, ...]]:
+    """Per run of runs (as _job_runs yields them), the plain lists n, s, chi
+    cell, lhs, residual, rhs and status code.  The chi cell is the label,
+    then the m or d parameter as m=... or d=... ("" when fields have none of
+    chi, m and d)."""
+    for params, chi, *values in runs:
         for f in (f for f in fields if f in ("m", "d")):  # at most one of them
             cells = params[fields.index(f)]
             chi = [f"{f}={v}" for v in cells] if chi is None else [f"{c} {f}={v}" for c, v in zip(chi, cells)]
@@ -441,30 +519,99 @@ def _columns(report: IdentityReport) -> Iterator[tuple[list, ...]]:
         yield n, params[fields.index("s")], chi or [""] * len(n), *values
 
 
-def _lines(report: IdentityReport, row: str, blank: str) -> Iterator[bytes]:
-    """Each run's rows through the % templates row (n, s, chi, lhs, residual,
-    rhs, status) and, for a skipped row, blank (n, s, chi)."""
-    for columns in _columns(report):
+def _lines(runs, row: str, zero: str, blank: str) -> Iterator[bytes]:
+    """Each run's rows, as _columns yields them, through the % templates row
+    (n, s, chi, lhs, residual, rhs, status), zero (n, s, chi, lhs, rhs,
+    status) for a residual of exactly 0.0, its cell baked in (residuals are
+    absolute values, never -0.0), and blank (n, s, chi) for a skipped row."""
+    for columns in runs:
         yield "".join([
-            blank % (n, s, chi) if code == STATUS_SKIP else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
+            blank % (n, s, chi) if code == STATUS_SKIP
+            else zero % (n, s, chi, l, h, STATUS_NAMES[code]) if r == 0.0
+            else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
             for n, s, chi, l, r, h, code in zip(*columns)
         ]).encode()
 
 
-def _format_csv(report: IdentityReport) -> bytes:
-    quote = '"' if {"chi", "m", "d"} & set(report.param_fields) else ""
-    lead = f"{report.identity},%d,%d,{quote}%s{quote},"
-    rows = _lines(report, lead + "%d,%.3e,%d,%s\n", lead + ",,,skipped\n")
-    return b"".join([b"identity,n,s,chi,lhs,residual,rhs,status\n", *rows])
+def _csv_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
+    """One job's CSV rows."""
+    fields = _SPECS[identity].fields
+    quote = '"' if {"chi", "m", "d"} & set(fields) else ""
+    lead = f"{identity},%d,%d,{quote}%s{quote},"
+    runs = _columns(fields, _job_runs(fields, job, labels))
+    return b"".join(_lines(runs, lead + "%d,%.3e,%d,%s\n", lead + "%d,0.000e+00,%d,%s\n", lead + ",,,skipped\n"))
+
+
+def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
+    """One job's JSON records, ", "-separated: each the json.dumps(...,
+    sort_keys=True) of its record, one f-string in sorted-key order (repr of
+    a finite float is its json.dumps)."""
+    fields = _SPECS[identity].fields
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    template = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
+    ident = json.dumps(identity)
+    parts = []
+    for params, chis, *values in _job_runs(fields, job, labels):
+        keyed = list(map(template.format, *(params[i] for i in order)))
+        cells = ["null"] * len(keyed) if chis is None else list(map(encode_basestring_ascii, chis))
+        records = [
+            f'{{"chi": {c}, "identity": {ident}, "lhs": null, "params": {p}, "residual": null, '
+            f'"rhs": null, "status": "skipped"}}'
+            if code == STATUS_SKIP
+            else f'{{"chi": {c}, "identity": {ident}, "lhs": {l}, "params": {p}, "residual": {r!r}, '
+            f'"rhs": {h}, "status": "{STATUS_NAMES[code]}"}}'
+            for c, p, l, r, h, code in zip(cells, keyed, *values)
+        ]
+        parts.append(", ".join(records).encode())
+    return b", ".join(parts)
+
+
+def _formatted(fmt: str, identity: str, job: tuple, labels: list[str] | None) -> tuple[bytes, np.ndarray, float]:
+    """A job's csv or json chunk, its status counts and its worst live residual."""
+    status = job[-1]
+    chunk = (_csv_job if fmt == "csv" else _json_job)(identity, job, labels)
+    return chunk, np.bincount(status, minlength=3), float(job[2][status != STATUS_SKIP].max(initial=0.0))
+
+
+def _formatted_job(fmt: str, job: tuple) -> tuple[bytes, np.ndarray, float]:
+    """_formatted of _run_job(job), labelled with its own modulus's labels:
+    the task of a streamed report, run in a pool worker at parallelism > 1."""
+    identity = job[0]
+    [(result, labels)] = _labelled(_SPECS[identity].fields, [_run_job(job)])
+    return _formatted(fmt, identity, result, labels)
+
+
+def _write_chunks(fmt: str, config: SweepConfig, results, write: Callable[[bytes], object]) -> dict[str, int]:
+    """Write a csv or json report through write: the head (the JSON one from
+    config), each job's chunk from results, _formatted triples in grid order,
+    with ", " between non-empty JSON chunks, then the tail from the merged
+    counts and worst residual.  Returns the summary."""
+    if fmt == "csv":
+        write(b"identity,n,s,chi,lhs,residual,rhs,status\n")
+    else:
+        write((json.dumps({"config": asdict(config)}, sort_keys=True)[:-1] + ', "records": [').encode())
+    counts, worst, sep = np.zeros(3, np.int64), 0.0, b""
+    for chunk, job_counts, job_worst in results:
+        counts += job_counts
+        worst = np.maximum(worst, job_worst)  # a NaN residual propagates, as in a max over every row
+        if chunk:
+            write(sep + chunk)
+            sep = b", " if fmt == "json" else b""
+    summary = _summary(counts)
+    if fmt == "json":
+        tail = json.dumps({"summary": summary, "worst_residual": float(worst)}, sort_keys=True)
+        write(f"], {tail[1:]}\n".encode())
+    return summary
 
 
 def _format_text(report: IdentityReport) -> bytes:
     """Columns padded to their widest cell; pass 1 finds the widths, pass 2
     writes the rows through templates with the widths baked in."""
+    fields = report.param_fields
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
     # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
     cells: list[list[str]] = [[report.identity], [], [], [], [], [], [], []]
-    for n, s, chi, *_ in _columns(report):
+    for n, s, chi, *_ in _columns(fields, report._runs()):
         cells[1].append(str(max(n)))
         cells[2].extend(map(str, set(s)))
         cells[3].append(max(chi, key=len))
@@ -478,36 +625,10 @@ def _format_text(report: IdentityReport) -> bytes:
     wi, wn, ws, wc, wl, wr, wh, _ = widths
     lead = f"{report.identity.ljust(wi)}  %-{wn}d  %-{ws}d  %-{wc}s  "
     row = f"{lead}%-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
-    parts.extend(_lines(report, row, lead + " " * (wl + wr + wh + 6) + "skipped\n"))
+    zero = f"{lead}%-{wl}d  {'0.000e+00'.ljust(wr)}  %-{wh}d  %s\n"
+    parts.extend(_lines(_columns(fields, report._runs()), row, zero, lead + " " * (wl + wr + wh + 6) + "skipped\n"))
     counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
     parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
-    return b"".join(parts)
-
-
-def _format_json(report: IdentityReport) -> bytes:
-    """json.dumps(..., sort_keys=True) of the report, each record one f-string
-    in sorted-key order (repr of a finite float is its json.dumps)."""
-    fields = report.param_fields
-    order = sorted(range(len(fields)), key=fields.__getitem__)
-    template = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
-    ident = json.dumps(report.identity)
-    head = json.dumps({"config": asdict(report.config)}, sort_keys=True)[:-1] + ', "records": ['
-    tail = json.dumps({"summary": report.summary, "worst_residual": report.worst_residual}, sort_keys=True)
-    parts, sep = [head.encode()], ""
-    for params, labels, *values in report._runs():
-        keyed = list(map(template.format, *(params[i] for i in order)))
-        chis = ["null"] * len(keyed) if labels is None else list(map(encode_basestring_ascii, labels))
-        records = [
-            f'{{"chi": {c}, "identity": {ident}, "lhs": null, "params": {p}, "residual": null, '
-            f'"rhs": null, "status": "skipped"}}'
-            if code == STATUS_SKIP
-            else f'{{"chi": {c}, "identity": {ident}, "lhs": {l}, "params": {p}, "residual": {r!r}, '
-            f'"rhs": {h}, "status": "{STATUS_NAMES[code]}"}}'
-            for c, p, l, r, h, code in zip(chis, keyed, *values)
-        ]
-        parts.append((sep + ", ".join(records)).encode())
-        sep = ", "
-    parts.append(f"], {tail[1:]}\n".encode())
     return b"".join(parts)
 
 
@@ -515,4 +636,9 @@ def format_report(report: IdentityReport, fmt: str) -> bytes:
     """Serialize a report as text, csv, or json; byte-stable across runs."""
     if fmt not in FORMATS:
         raise DomainError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    return {"csv": _format_csv, "json": _format_json, "text": _format_text}[fmt](report)
+    if fmt == "text":
+        return _format_text(report)
+    chunks = (_formatted(fmt, report.identity, *job) for job in _labelled(report.param_fields, report.jobs))
+    parts: list[bytes] = []
+    _write_chunks(fmt, report.config, chunks, parts.append)
+    return b"".join(parts)

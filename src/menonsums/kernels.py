@@ -18,7 +18,11 @@ def menon_gcd_sum(n: int) -> int:
     it is checked against.  A k < n is a unit exactly where w[k] == 1 and
     adds w[k-1], so the sum is one integer dot of w[:-1] with the mask of
     w[1:]; k = n is a unit only at n = 1, where it adds gcd(0, 1) = 1.  No
-    array is rolled or gathered.  The dot accumulates in int32, which is
+    array is rolled or gathered.  einsum casts the mask to int32 in small
+    buffered blocks; ``@`` would cast it whole into a second n-entry array,
+    and with two of them live, malloc returns the freed heap top to the
+    system after each n and faults it back in at the next (about 150 page
+    faults per n near 10**5).  The dot accumulates in int32, which is
     exact: the sum is at most Pillai's sum of gcd(j, n) over j < n, which is
     at most n * tau(n), and that is at most 12,579,840 (at n = 98,280) for
     n up to ``identities.SUM_BOUND`` = 10**5.
@@ -27,7 +31,7 @@ def menon_gcd_sum(n: int) -> int:
     small = j[n % j == 0]
     large = n // small[::-1]
     w = sgcd_weights(n, np.concatenate((small, large[large > small[-1]])).tolist())
-    return int(w[:-1] @ (w[1:] == 1)) + (n == 1)
+    return int(np.einsum("i,i->", w[:-1], w[1:] == 1)) + (n == 1)
 
 
 def sgcd_weights(n: int, power_divisors: list[int]) -> np.ndarray:

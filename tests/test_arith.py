@@ -22,7 +22,7 @@ from menonsums import (
     sigma,
     tau_s,
 )
-from menonsums.arith import sgcd_table
+from menonsums.arith import FACTOR_CACHE, sgcd_table
 
 
 class TestFactorize:
@@ -52,6 +52,13 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             factorize(0)
+
+    def test_cache_is_bounded(self):
+        start = 10**6
+        for n in range(start, start + FACTOR_CACHE + 100):
+            assert factorize(n).value == n
+        assert factorize.cache_info().maxsize == FACTOR_CACHE
+        assert factorize.cache_info().currsize <= FACTOR_CACHE
 
     def test_bound_rejected(self):
         with pytest.raises(ResourceError):

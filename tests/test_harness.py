@@ -1,5 +1,6 @@
 """Sweep harness: grids, reports, serialization, CLI, exit codes."""
 
+import errno
 import functools
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -253,6 +255,29 @@ class TestSweepContents:
         assert peak < 1.5 * sum(column.nbytes for job in report.jobs for column in job)
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and each chunk
+    of jobs submitted, runs each chunk at once, starts no process."""
+
+    sizes: list[int] = []
+    submitted: list[list] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task, jobs):
+        self.submitted.append(jobs)
+        future = Future()
+        future.set_result(fn(task, jobs))
+        return future
+
+
 def _sweep(identity, parallelism):
     if identity == STRICT_GEN:
         return search_counterexamples(64, (1, 2), parallelism=parallelism)
@@ -281,33 +306,29 @@ class TestDeterminismAndParallelism:
             assert format_report(sweep, fmt) == format_report(search, fmt)
 
     def test_worker_pool_is_capped(self, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        SerialPool.sizes.clear()
         capped = run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))
         serial = run_sweep(SweepConfig(identity="zhao_cao", n_max=30))
-        assert pools == [4]
+        assert SerialPool.sizes == [4]
         assert format_report(capped, "csv") == format_report(serial, "csv")
         run_sweep(SweepConfig(identity="menon", n_max=30, parallelism=10**6))  # one job: no pool
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))  # unknown CPU count: serial
-        assert pools == [4]
+        assert SerialPool.sizes == [4]
+
+    def test_pool_runs_a_few_chunks_ahead_of_the_reader(self, monkeypatch):
+        # However slowly results are read, at most 2*workers chunks wait
+        # beyond the one being read, each of len(jobs) // (32 * workers) jobs.
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        SerialPool.submitted.clear()
+        read = []
+        for result in harness._pooled(str, list(range(1000)), 2):
+            read.append(result)
+            assert sum(map(len, SerialPool.submitted)) - len(read) <= (2 * 2 + 1) * 15
+        assert read == [str(j) for j in range(1000)]
+        assert {len(chunk) for chunk in SerialPool.submitted} == {15, 1000 % 15}
 
     def test_tolerance_travels_with_the_job_into_workers(self, monkeypatch):
         # Every zhao_cao sum rounds to its rhs, so at 1e-300 exactly the rows with float noise fail.
@@ -478,6 +499,21 @@ class TestFormats:
             tracemalloc.stop()
         assert peak < 2.5 * len(payload)
 
+    def test_streamed_csv_peak_memory_is_a_fraction_of_the_report(self, tmp_path):
+        # The CLI writes each job's CSV as it arrives; holding the whole 19 MB
+        # report, as format_report does, peaks at about twice its size.
+        target = tmp_path / "t2.csv"
+        argv = ["verify", "theorem2", "--n-max", "1024", "--s", "1,2,3", "--format", "csv", "--output", str(target)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 18 * 2**20
+        assert peak < size / 4
+
     def test_labels_built_once_per_run_of_jobs_sharing_a_modulus(self, monkeypatch):
         # The lemma jobs for m = s, 2s, ... share the modulus p**n_exp.
         report = run_sweep(SweepConfig(identity="lemma33", n_max=256, s_values=(1, 2)))
@@ -592,6 +628,48 @@ class TestCli:
         assert str(err.value) == message
         assert main(["verify", identity, "--n-max", str(modulus)]) == 1
         assert capsys.readouterr().err == f"integrity error: {message}\n"
+
+    def test_failing_streamed_run_leaves_output_as_it_was(self, monkeypatch, tmp_path, capsys):
+        # The sums at n = 12 are wrong only after the jobs n = 1..11 have been
+        # formatted and written; the report goes to a temporary file that
+        # replaces the target only once the run completes.
+        exact = CharacterGroup.all_sums
+
+        def off_by_point_seven(self, weights):
+            sums = exact(self, weights)
+            if self.modulus == 12:
+                sums[3] += 0.7j
+            return sums
+
+        monkeypatch.setattr(CharacterGroup, "all_sums", off_by_point_seven)
+        target = tmp_path / "report.csv"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["verify", "zhao_cao", "--n-max", "12", "--format", "csv", "--output", str(target)]
+        assert main(argv) == 1
+        message = (
+            "character sum at n=12, s=1, chi=12:2^2=[1];3^1=[1] is not within 0.5 of an integer (residual 7.000e-01)"
+        )
+        assert capsys.readouterr().err == f"integrity error: {message}\n"
+        assert target.read_bytes() == b"an earlier report\n"
+        assert os.listdir(tmp_path) == ["report.csv"]
+        monkeypatch.setattr(CharacterGroup, "all_sums", exact)
+        assert main(argv) == 0
+        assert target.read_bytes() == format_report(run_sweep(SweepConfig("zhao_cao", 12, output="csv")), "csv")
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_oserror_of_the_sweep_is_not_blamed_on_output(self, monkeypatch, tmp_path):
+        # Only opening, writing and replacing the output name it; an OSError
+        # from the sweep itself (a pool that cannot fork, say) passes through.
+        def cannot_fork(fmt, job):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(harness, "_formatted_job", cannot_fork)
+        target = tmp_path / "report.csv"
+        target.write_bytes(b"an earlier report\n")
+        with pytest.raises(BlockingIOError):
+            main(["verify", "zhao_cao", "--n-max", "12", "--format", "csv", "--output", str(target)])
+        assert target.read_bytes() == b"an earlier report\n"
+        assert os.listdir(tmp_path) == ["report.csv"]
 
     def test_jobs_flag(self, capsys):
         assert main(["verify", "zhao_cao", "--n-max", "12", "--jobs", "2", "--format", "csv"]) == 0

@@ -1,5 +1,6 @@
 """Golden byte guard: sha256 of format_report output for every report kind,
-and of the char-table dump.
+of the same CSV and JSON reports streamed job by job by write_report, and
+of the char-table dump.
 
 The report digests in data/report_digests.json were recorded from the
 row-at-a-time formatter that preceded per-modulus formatting, the char-table
@@ -19,8 +20,12 @@ recorded key's digest differs, it prints that key and exits 1 without
 writing.  For an intended format change, delete the key first.
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import os
 import pathlib
 import sys
 
@@ -30,7 +35,7 @@ import pytest
 from menonsums import format_report, reproduce_remark, run_sweep, search_counterexamples
 from menonsums import harness
 from menonsums.cli import char_table_bytes
-from menonsums.harness import FORMATS, IDENTITIES, IdentityReport, SweepConfig
+from menonsums.harness import FORMATS, IDENTITIES, IdentityReport, SweepConfig, search_config, write_report
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
 
@@ -50,42 +55,71 @@ def _edge_report() -> IdentityReport:
 
 
 def _reports():
-    """(case name, zero-argument report factory, formats) for every guarded case."""
+    """(case name, zero-argument report factory, formats, the case's sweep
+    config or None when the report is no sweep's) for every guarded case."""
     for ident in IDENTITIES:
         cfg = SweepConfig(identity=ident, n_max=64, s_values=(1, 2))
-        yield f"{ident}-n64-s12", (lambda cfg=cfg: run_sweep(cfg)), FORMATS
+        yield f"{ident}-n64-s12", (lambda cfg=cfg: run_sweep(cfg)), FORMATS, cfg
     empty = SweepConfig(identity="theorem2", n_max=3, s_values=(2,))
-    yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS
-    yield "remark", reproduce_remark, FORMATS
-    yield "search-n36-s2", (lambda: search_counterexamples(36, (2,))), FORMATS
-    yield "edge-values", _edge_report, FORMATS
+    yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS, empty
+    yield "remark", reproduce_remark, FORMATS, None
+    search = search_config(36, (2,))
+    yield "search-n36-s2", (lambda: search_counterexamples(36, (2,))), FORMATS, search
+    yield "edge-values", _edge_report, FORMATS, None
     jobs2 = SweepConfig(identity="theorem2", n_max=64, s_values=(1, 2), parallelism=2)
-    yield "theorem2-n64-s12-jobs2", (lambda: run_sweep(jobs2)), ("csv",)
+    yield "theorem2-n64-s12-jobs2", (lambda: run_sweep(jobs2)), ("csv",), jobs2
 
 
-CASES = [(name, make, fmt) for name, make, fmts in _reports() for fmt in fmts]
+# Each case's format_report bytes ("report"), and for a sweep's CSV and JSON
+# the bytes write_report streams at parallelism 1 and 2.
+CASES = [
+    (name, make, fmt, path)
+    for name, make, fmts, config in _reports()
+    for fmt in fmts
+    for path in ("report", *(("stream", "stream-jobs2") if config and fmt != "text" else ()))
+]
+CONFIGS = {name: config for name, _, _, config in _reports()}
 
 CHAR_TABLE_CASES = [(n, fmt) for n in (1, 12, 16, 45, 64, 97, 360, 1024, 2520) for fmt in ("csv", "json")]
 
 
-def _digest(make, fmt) -> str:
-    return hashlib.sha256(format_report(make(), fmt)).hexdigest()
+def _streamed(config: SweepConfig, fmt: str) -> bytes:
+    out = io.BytesIO()
+    write_report(config, fmt, lambda: contextlib.nullcontext(out.write))
+    return out.getvalue()
+
+
+def _digest(name, make, fmt, path="report") -> str:
+    if path == "report":
+        payload = format_report(make(), fmt)
+    else:
+        jobs = 2 if path == "stream-jobs2" else 1
+        payload = _streamed(dataclasses.replace(CONFIGS[name], parallelism=jobs), fmt)
+        # JSON echoes config.parallelism first, in its head; the serial digest is recorded.
+        payload = payload.replace(b'"parallelism": %d' % jobs, b'"parallelism": %d' % CONFIGS[name].parallelism, 1)
+    return hashlib.sha256(payload).hexdigest()
 
 
 # Formatting decodes one job's rows, at most _RUN_ROWS of them, at a time; 7
 # splits runs inside one modulus, so labels must carry across the split.  A
 # _BATCH of 7 n splits the scalar reports into many jobs, so runs end at job ends.
+# Pool workers are forked, so they format with the patched values too.
 @pytest.mark.parametrize(
     "run_rows, batch",
     [(harness._RUN_ROWS, harness._BATCH), (7, harness._BATCH), (harness._RUN_ROWS, 7)],
     ids=[str(harness._RUN_ROWS), "7", f"{harness._RUN_ROWS}-batch7"],
 )
-@pytest.mark.parametrize("name, make, fmt", CASES, ids=[f"{n}-{f}" for n, _, f in CASES])
-def test_report_bytes_match_golden_digest(name, make, fmt, run_rows, batch, monkeypatch):
+@pytest.mark.parametrize(
+    "name, make, fmt, path",
+    CASES,
+    ids=[f"{n}-{f}" if p == "report" else f"{n}-{f}-{p}" for n, _, f, p in CASES],
+)
+def test_report_bytes_match_golden_digest(name, make, fmt, path, run_rows, batch, monkeypatch):
     monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
     monkeypatch.setattr(harness, "_BATCH", batch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-CPU host
     expected = json.loads(DIGESTS.read_text())
-    assert _digest(make, fmt) == expected[f"{name}.{fmt}"]
+    assert _digest(name, make, fmt, path) == expected[f"{name}.{fmt}"]
 
 
 @pytest.mark.parametrize("n, fmt", CHAR_TABLE_CASES, ids=[f"n{n}-{f}" for n, f in CHAR_TABLE_CASES])
@@ -101,7 +135,7 @@ def test_parallel_csv_digest_equals_serial_digest():
 
 if __name__ == "__main__":
     recorded = json.loads(DIGESTS.read_text())
-    digests = {f"{name}.{fmt}": _digest(make, fmt) for name, make, fmt in CASES}
+    digests = {f"{name}.{fmt}": _digest(name, make, fmt) for name, make, fmt, path in CASES if path == "report"}
     for n, fmt in CHAR_TABLE_CASES:
         digests[f"char-table-n{n}.{fmt}"] = hashlib.sha256(char_table_bytes(n, fmt)).hexdigest()
     changed = sorted(key for key in recorded.keys() & digests.keys() if recorded[key] != digests[key])
