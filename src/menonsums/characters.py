@@ -220,7 +220,7 @@ def eval_character(chi: DirichletCharacter, k: int) -> CharValue:
     for q, idx, st in parts:
         for v, e, (_, order) in zip(idx, st.dlog_table[r % q].tolist(), st.generators):
             turn += v * e * (L // order)
-    return CharValue.root(Fraction(turn, L))
+    return CharValue(Fraction(turn % L, L))
 
 
 def multiply_characters(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:

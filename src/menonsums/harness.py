@@ -14,10 +14,10 @@ one record per instance, and aggregates a pass/fail/skipped summary.  Each
 job returns its final rows as numpy columns, tolerance test included, so that
 the large theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is
 refused before any job runs.  A report keeps each job's columns in grid
-order, never concatenated, and decodes them into plain lists one run at a
-time: a job's rows, at most ``_RUN_ROWS`` of them.  A job's CSV or JSON rows
-come from one function per format, between a head and a tail; CSV and text
-write each row through one ``%`` template, JSON through one f-string.
+order, never concatenated, and formats them in runs of at most ``_RUN_ROWS``
+rows of one job.  A CSV or text row is a head made once per job, a cell (a
+character job's label at its flat index) and a tail, cached per job when the
+residual is exactly 0.0; JSON builds each record so in one f-string.
 Record order is fixed by the grid, so the records, CSV and text are
 byte-identical at any parallelism; JSON differs only in the echoed
 config.parallelism.
@@ -32,7 +32,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ContextManager, Iterator, NamedTuple
 
@@ -54,7 +54,7 @@ STATUS_NAMES = ("pass", "fail", "skipped")
 
 _BATCH = 512
 
-#: Most rows of one run, a job's rows decoded together while formatting a report.
+#: Most rows of one run: the slice of a job's rows a formatter decodes to plain lists at once.
 _RUN_ROWS = 1024
 
 #: Most rows a sweep may have; a larger grid is refused before any job runs.
@@ -108,19 +108,14 @@ class IdentityReport:
         """The rows of job column `column` (1 lhs, 2 residual, 3 rhs) that are not skipped."""
         return np.concatenate([job[column][job[-1] != STATUS_SKIP] for job in self.jobs] or [np.zeros(0)])
 
-    def _runs(self) -> Iterator[tuple[list, ...]]:
-        """Each job's rows, at most _RUN_ROWS at a time, as _job_runs decodes them."""
-        for job, labels in _labelled(self.param_fields, self.jobs):
-            yield from _job_runs(self.param_fields, job, labels)
-
     @property
     def records(self) -> list[SweepRecord]:
         records = []
-        for params, chis, *values in self._runs():
-            for row, chi, lhs, residual, rhs, code in zip(zip(*params), chis or [None] * len(params[0]), *values):
+        for job, labels in _labelled(self.param_fields, self.jobs):
+            for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
                 cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
-                row = dict(zip(self.param_fields, row))
-                records.append(SweepRecord(self.identity, row, chi, *cells, STATUS_NAMES[code]))
+                params, chi = dict(zip(self.param_fields, row)), labels and labels[row[-1]]
+                records.append(SweepRecord(self.identity, params, chi, *cells, STATUS_NAMES[code]))
         return records
 
 
@@ -138,17 +133,6 @@ def _labelled(fields: tuple[str, ...], jobs) -> Iterator[tuple[tuple, list[str] 
         if "chi" in fields and len(job[0]) and labelled != (n := _modulus(fields, job[0][0].tolist())):
             labelled, labels = n, character_labels(n)
         yield job, labels
-
-
-def _job_runs(fields: tuple[str, ...], job: tuple, labels: list[str] | None) -> Iterator[tuple[list, ...]]:
-    """One job's rows, at most _RUN_ROWS at a time, as plain lists: the param
-    columns by field, the chi labels (None without a chi field), lhs,
-    residual, rhs and status."""
-    chi = fields.index("chi") if "chi" in fields else None
-    for a in range(0, len(job[0]), _RUN_ROWS):
-        params = job[0][a : a + _RUN_ROWS].T.tolist()
-        chis = None if chi is None else [labels[j] for j in params[chi]]
-        yield params, chis, *(col[a : a + _RUN_ROWS].tolist() for col in job[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -505,65 +489,88 @@ def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parall
 # serialization
 
 
-def _columns(fields: tuple[str, ...], runs) -> Iterator[tuple[list, ...]]:
-    """Per run of runs (as _job_runs yields them), the plain lists n, s, chi
-    cell, lhs, residual, rhs and status code.  The chi cell is the label,
-    then the m or d parameter as m=... or d=... ("" when fields have none of
-    chi, m and d)."""
-    for params, chi, *values in runs:
-        for f in (f for f in fields if f in ("m", "d")):  # at most one of them
-            cells = params[fields.index(f)]
-            chi = [f"{f}={v}" for v in cells] if chi is None else [f"{c} {f}={v}" for c, v in zip(chi, cells)]
-        # A run lies inside one job, so its head row is a lemma job's head.
-        n = params[0] if fields[0] == "n" else [_modulus(fields, [col[0] for col in params])] * len(params[0])
-        yield n, params[fields.index("s")], chi or [""] * len(n), *values
+class _Tails(dict):
+    """One job's row tails, tail(lhs, residual, rhs, status code): a skipped
+    row's is made once, and a row whose residual is exactly 0.0 (residuals
+    are absolute values, never -0.0) takes it by (lhs, rhs, code), made at
+    first use."""
+
+    def __init__(self, tail: Callable):
+        self.tail, self.skip = tail, tail(0, 0.0, 0, STATUS_SKIP)
+
+    def __missing__(self, key):
+        made = self[key] = self.tail(key[0], 0.0, *key[1:])
+        return made
+
+    def of(self, job: tuple, a: int) -> list:
+        """The tail of each row of the run of job from row a."""
+        skip, tail, rows = self.skip, self.tail, zip(*(col[a : a + _RUN_ROWS].tolist() for col in job[1:]))
+        return [skip if c == STATUS_SKIP else self[l, h, c] if r == 0.0 else tail(l, r, h, c) for l, r, h, c in rows]
 
 
-def _lines(runs, row: str, zero: str, blank: str) -> Iterator[bytes]:
-    """Each run's rows, as _columns yields them, through the % templates row
-    (n, s, chi, lhs, residual, rhs, status), zero (n, s, chi, lhs, rhs,
-    status) for a residual of exactly 0.0, its cell baked in (residuals are
-    absolute values, never -0.0), and blank (n, s, chi) for a skipped row."""
-    for columns in runs:
-        yield "".join([
-            blank % (n, s, chi) if code == STATUS_SKIP
-            else zero % (n, s, chi, l, h, STATUS_NAMES[code]) if r == 0.0
-            else row % (n, s, chi, l, r, h, STATUS_NAMES[code])
-            for n, s, chi, l, r, h, code in zip(*columns)
-        ]).encode()
+def _table_job(fields: tuple[str, ...], job: tuple, labels: list[str] | None, templates: tuple[str, ...]) -> bytes:
+    """One job's CSV or text rows, each head + cell + tail, from the templates
+    (lead, mid, cell, row, skip), _RUN_ROWS rows at a time.  A character job's
+    head, lead + mid % (n, s), is made once, and its cell is its label at the
+    flat character index params[:, -1] (or cell % (label + a lemma job's
+    " m=...")); a scalar job's head is lead, its cell (mid + cell) % (n, s,
+    "d=..." or "").  A tail, row % (lhs, residual, rhs, status) or skip,
+    starts by closing the cell, so a run is head + head.join(cell + tail)."""
+    lead, mid, cell, row, skip = templates
+    tails = _Tails(lambda l, r, h, c: skip if c == STATUS_SKIP else row % (l, r, h, STATUS_NAMES[c]))
+    params, parts = job[0], []
+    if labels is not None and len(params):
+        top = params[0].tolist()
+        suffix = f" m={top[fields.index('m')]}" if "m" in fields else ""
+        lead += mid % (_modulus(fields, top), top[fields.index("s")])
+    for a in range(0, len(params), _RUN_ROWS):
+        cells, index = labels, params[a : a + _RUN_ROWS, -1].tolist()
+        if labels is None:
+            n, s, *d = params[a : a + _RUN_ROWS].T.tolist()
+            cells = [(mid + cell) % point for point in zip(n, s, [f"d={v}" for v in d[0]] if d else [""] * len(n))]
+        elif cell != "%s" or suffix:  # a padded text cell, or a lemma cell
+            cells = [cell % (labels[j] + suffix) for j in index]
+        index = index if cells is labels else range(len(cells))
+        parts.append(lead + lead.join([cells[j] + t for j, t in zip(index, tails.of(job, a))]))
+    return "".join(parts).encode()
 
 
 def _csv_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     """One job's CSV rows."""
     fields = _SPECS[identity].fields
-    quote = '"' if {"chi", "m", "d"} & set(fields) else ""
-    lead = f"{identity},%d,%d,{quote}%s{quote},"
-    runs = _columns(fields, _job_runs(fields, job, labels))
-    return b"".join(_lines(runs, lead + "%d,%.3e,%d,%s\n", lead + "%d,0.000e+00,%d,%s\n", lead + ",,,skipped\n"))
+    q = '"' if {"chi", "m", "d"} & set(fields) else ""
+    templates = (f"{identity},", f"%d,%d,{q}", "%s", f"{q},%d,%.3e,%d,%s\n", f"{q},,,,skipped\n")
+    return _table_job(fields, job, labels, templates)
 
 
 def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     """One job's JSON records, ", "-separated: each the json.dumps(...,
-    sort_keys=True) of its record, one f-string in sorted-key order (repr of
-    a finite float is its json.dumps)."""
+    sort_keys=True) of its record, one f-string in sorted-key order, _RUN_ROWS
+    rows at a time.  A character job's params are its flat character index
+    params[:, -1] (chi sorts first) between a head and a tail made once; a
+    scalar job's are made per row.  The (lhs, rest after "residual": ) pairs
+    come from the job's _Tails, the residual as its repr, which is its
+    json.dumps when finite, or as json.dumps writes NaN and Infinity."""
     fields = _SPECS[identity].fields
     order = sorted(range(len(fields)), key=fields.__getitem__)
-    template = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
-    ident = json.dumps(identity)
-    parts = []
-    for params, chis, *values in _job_runs(fields, job, labels):
-        keyed = list(map(template.format, *(params[i] for i in order)))
-        cells = ["null"] * len(keyed) if chis is None else list(map(encode_basestring_ascii, chis))
-        records = [
-            f'{{"chi": {c}, "identity": {ident}, "lhs": null, "params": {p}, "residual": null, '
-            f'"rhs": null, "status": "skipped"}}'
-            if code == STATUS_SKIP
-            else f'{{"chi": {c}, "identity": {ident}, "lhs": {l}, "params": {p}, "residual": {r!r}, '
-            f'"rhs": {h}, "status": "{STATUS_NAMES[code]}"}}'
-            for c, p, l, r, h, code in zip(cells, keyed, *values)
-        ]
-        parts.append(", ".join(records).encode())
-    return b", ".join(parts)
+    keyed = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
+    ident, skip = json.dumps(identity), ("null", 'null, "rhs": null, "status": "skipped"}')
+    tails = _Tails(lambda l, r, h, c: skip if c == STATUS_SKIP else (
+        str(l), f'{repr(r) if math.isfinite(r) else json.dumps(r)}, "rhs": {h}, "status": "{STATUS_NAMES[c]}"}}'))
+    params, parts, pre, rest = job[0], [], "", ""
+    if labels is not None and len(params):
+        pre, rest = '{"chi": ', keyed[len('{{"chi": {}') :].format(*params[0, order[1:]].tolist())
+    for a in range(0, len(params), _RUN_ROWS):
+        if labels is None:
+            keys, chis = list(map(keyed.format, *params[a : a + _RUN_ROWS, order].T.tolist())), repeat("null")
+        else:
+            keys = params[a : a + _RUN_ROWS, -1].tolist()
+            chis = map(encode_basestring_ascii, map(labels.__getitem__, keys))
+        parts.append(", ".join([
+            f'{{"chi": {c}, "identity": {ident}, "lhs": {l}, "params": {pre}{k}{rest}, "residual": {t}'
+            for c, k, (l, t) in zip(chis, keys, tails.of(job, a))
+        ]))
+    return ", ".join(parts).encode()
 
 
 def _formatted(fmt: str, identity: str, job: tuple, labels: list[str] | None) -> tuple[bytes, np.ndarray, float]:
@@ -606,15 +613,18 @@ def _write_chunks(fmt: str, config: SweepConfig, results, write: Callable[[bytes
 
 def _format_text(report: IdentityReport) -> bytes:
     """Columns padded to their widest cell; pass 1 finds the widths, pass 2
-    writes the rows through templates with the widths baked in."""
+    writes each job's rows through _table_job with the widths baked in."""
     fields = report.param_fields
     header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
     # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
     cells: list[list[str]] = [[report.identity], [], [], [], [], [], [], []]
-    for n, s, chi, *_ in _columns(fields, report._runs()):
-        cells[1].append(str(max(n)))
-        cells[2].extend(map(str, set(s)))
-        cells[3].append(max(chi, key=len))
+    for job, labels in _labelled(fields, report.jobs):
+        if len(job[0]):  # the top row is a character job's head, or a scalar job's largest n, s and d
+            top = job[0].max(axis=0).tolist()
+            chi = [max(map(labels.__getitem__, job[0][:, -1].tolist()), key=len)] if labels else []
+            cells[1].append(str(_modulus(fields, top)))
+            cells[2].append(str(top[fields.index("s")]))
+            cells[3].append(" ".join(chi + [f"{f}={top[fields.index(f)]}" for f in ("m", "d") if f in fields]))
     for i, column in ((4, 1), (6, 3)):  # lhs and rhs
         live = report._live(column)
         cells[i] = [str(live.min()), str(live.max())] if live.size else []
@@ -623,10 +633,9 @@ def _format_text(report: IdentityReport) -> bytes:
     parts = [("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n").encode()]
     # Pass 2: "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w).
     wi, wn, ws, wc, wl, wr, wh, _ = widths
-    lead = f"{report.identity.ljust(wi)}  %-{wn}d  %-{ws}d  %-{wc}s  "
-    row = f"{lead}%-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
-    zero = f"{lead}%-{wl}d  {'0.000e+00'.ljust(wr)}  %-{wh}d  %s\n"
-    parts.extend(_lines(_columns(fields, report._runs()), row, zero, lead + " " * (wl + wr + wh + 6) + "skipped\n"))
+    lead, row = f"{report.identity.ljust(wi)}  ", f"  %-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
+    templates = (lead, f"%-{wn}d  %-{ws}d  ", f"%-{wc}s", row, " " * (wl + wr + wh + 8) + "skipped\n")
+    parts.extend(_table_job(fields, job, labels, templates) for job, labels in _labelled(fields, report.jobs))
     counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
     parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
     return b"".join(parts)

@@ -528,6 +528,97 @@ class TestFormats:
             format_report(reproduce_remark(), "xml")
 
 
+def _job(rows, width):
+    """A job's columns from rows (params..., lhs, residual, rhs, status), params width wide."""
+    cols = list(zip(*rows)) or [()] * (width + 4)
+    params = np.array(list(zip(*cols[:width])), dtype=np.int32).reshape(len(rows), width)
+    dtypes = (np.int64, np.float64, np.int64, np.int8)
+    return (params, *(np.array(col, dtype=dtype) for col, dtype in zip(cols[width:], dtypes)))
+
+
+P, F, S = harness.STATUS_PASS, harness.STATUS_FAIL, harness.STATUS_SKIP
+NAN, INF = math.nan, math.inf
+
+# Every residual shape, skipped rows, dropped non-contiguous flat indices, the
+# same (lhs, rhs) under pass and fail, lemma m= cells, cohen d= cells, menon
+# rows with no chi, and an empty job.
+_WRITER_JOBS = {
+    "theorem2": [
+        _job([
+            (16, 1, 1, 3, 0.0, 3, P), (16, 1, 3, 3, 0.0, 3, F), (16, 1, 4, 3, 1e-300, 3, P),
+            (16, 1, 6, 0, 0.0, 0, S), (16, 1, 7, 3, 5e-324, 3, P), (16, 1, 0, -2, 9.9995e-07, 5, F),
+            (16, 1, 2, 3, NAN, 3, F), (16, 1, 5, 3, INF, 3, F), (16, 1, 1, 0, 0.0, 0, S),
+        ], 3),
+        _job([], 3),
+        _job([(12, 1, 3, 1, 0.0, 1, P), (12, 1, 0, 12, 1e-300, 1, F), (12, 1, 2, 0, 0.0, 0, S)], 3),
+    ],
+    "lemma31": [
+        _job([
+            (2, 4, 1, 2, 5, -1, 0.0, -1, P), (2, 4, 1, 2, 1, -1, 9.9995e-07, -1, F), (2, 4, 1, 2, 6, 0, 0.0, 0, F),
+        ], 5),
+        _job([(3, 2, 1, 1, 4, 0, 0.0, 0, P), (3, 2, 1, 1, 1, 0, 0.0, 0, S)], 5),
+    ],
+    "cohen_partition": [
+        _job([
+            (1, 2, 1, 1, 0.0, 1, P), (4, 2, 1, 2, 0.0, 2, P), (4, 2, 4, 2, 0.0, 2, F), (16, 2, 16, 7, 0.0, 7, P),
+        ], 3),
+    ],
+    "menon": [_job([(1, 1, 1, 0.0, 1, P), (2, 1, 3, 0.0, 4, F), (10, 1, 40, 0.0, 40, P)], 2)],
+}
+
+
+def _plain_rows(identity, job):
+    """Per row of job: the text and CSV cells (identity, n, s, chi, lhs,
+    residual, rhs, status) and the record dict, each built by hand."""
+    fields = harness._SPECS[identity].fields
+    for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
+        params = dict(zip(fields, row))
+        n = params["p"] ** params["n_exp"] if "p" in params else params["n"]
+        label = character_labels(n)[params["chi"]] if "chi" in params else None
+        chi = " ".join(([label] if label else []) + [f"{f}={params[f]}" for f in ("m", "d") if f in params])
+        live = ("", "", "") if code == S else ("%d" % lhs, "%.3e" % residual, "%d" % rhs)
+        record = {"chi": label, "identity": identity, "params": params, "status": STATUS_NAMES[code]}
+        record.update(zip(("lhs", "residual", "rhs"), (None, None, None) if code == S else (lhs, residual, rhs)))
+        yield (identity, str(n), str(params["s"]), chi, *live, STATUS_NAMES[code]), record
+
+
+class TestRowWriters:
+    """The CSV, JSON and text writers against one % template per row and
+    json.dumps per record, over hand-made jobs."""
+
+    @pytest.mark.parametrize("run_rows", [harness._RUN_ROWS, 2])
+    @pytest.mark.parametrize("identity", list(_WRITER_JOBS))
+    def test_csv_and_json_jobs_equal_plain_rows(self, identity, run_rows, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
+        q = '"' if {"chi", "m", "d"} & set(harness._SPECS[identity].fields) else ""
+        for job in _WRITER_JOBS[identity]:
+            [(_, labels)] = harness._labelled(harness._SPECS[identity].fields, [job])
+            rows = list(_plain_rows(identity, job))
+            csv = "".join("%s,%s,%s,%s,%s,%s,%s,%s\n" % (*c[:3], q + c[3] + q, *c[4:]) for c, _ in rows)
+            assert harness._csv_job(identity, job, labels) == csv.encode()
+            records = ", ".join(json.dumps(record, sort_keys=True) for _, record in rows)
+            assert harness._json_job(identity, job, labels) == records.encode()
+
+    @pytest.mark.parametrize("run_rows", [harness._RUN_ROWS, 2])
+    @pytest.mark.parametrize("identity", list(_WRITER_JOBS))
+    def test_text_equals_plain_rows(self, identity, run_rows, monkeypatch):
+        monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
+        jobs = _WRITER_JOBS[identity]
+        rows = [cells for job in jobs for cells, _ in _plain_rows(identity, job)]
+        header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs")
+        widths = [max(len(c) for c in column) for column in zip(header, *(r[:7] for r in rows))]
+        lines = [
+            "  ".join("%-*s" % (w, c) for w, c in zip(widths, r[:7])) + "  %s\n" % r[7]
+            for r in [header + ("status",), *rows]
+        ]
+        status = np.concatenate([job[-1] for job in jobs])
+        live = np.concatenate([job[2] for job in jobs])[status != S]
+        counts = tuple(int((status == code).sum()) for code in (P, F, S))
+        lines.append("summary: pass=%d fail=%d skipped=%d worst_residual=%.3e\n" % (*counts, np.max([*live, 0.0])))
+        report = harness.IdentityReport(SweepConfig(identity, 64), jobs)
+        assert format_report(report, "text") == "".join(lines).encode()
+
+
 class TestCharTable:
     def test_csv_table(self):
         lines = char_table_bytes(4, "csv").decode().splitlines()
