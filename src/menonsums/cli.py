@@ -37,7 +37,6 @@ from .harness import (
     SweepConfig,
     format_report,
     reproduce_remark,
-    run_sweep,
     search_config,
     write_report,
 )
@@ -205,12 +204,7 @@ def main(argv=None) -> int:
             )
         else:
             config = search_config(args.n_max, _parse_s_values(args.s), args.tolerance, args.jobs)
-        if args.format == "text":  # column widths need every row, so text is formatted whole
-            report = run_sweep(config)
-            _emit(format_report(report, "text"), args.output)
-            summary = report.summary
-        else:
-            summary = write_report(config, args.format, partial(_opened, args.output))
+        summary = write_report(config, args.format, partial(_opened, args.output))
         return 1 if args.command == "verify" and summary["fail"] > 0 else 0
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,10 @@ refused before any job runs.  A report keeps each job's columns in grid
 order, never concatenated, and formats them in runs of at most ``_RUN_ROWS``
 rows of one job.  A CSV or text row is a head made once per job, a cell (a
 character job's label at its flat index) and a tail, cached per job when the
-residual is exactly 0.0; JSON builds each record so in one f-string.
-Record order is fixed by the grid, so the records, CSV and text are
-byte-identical at any parallelism; JSON differs only in the echoed
-config.parallelism.
+residual is exactly 0.0; JSON builds each record so in one f-string.  Text
+pads columns to the max of per-job widths, taken first (streamed, by a
+first run of the jobs).  Grid order fixes the bytes of records, CSV and
+text at any parallelism; JSON differs only in the echoed config.parallelism.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ContextManager, Iterator, NamedTuple
@@ -39,7 +39,7 @@ from typing import Callable, ContextManager, Iterator, NamedTuple
 import numpy as np
 
 from .arith import divisor_tau, euler_phi, factorize, klee_phi, power_divisors, primes_upto, sigma, tau_s
-from .characters import MODULUS_BOUND, character_group, character_labels
+from .characters import MODULUS_BOUND, char_label, character_group, character_labels
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
 from .identities import generalized_weights, menon_sum, sury_sum, zhao_cao_weights
@@ -51,6 +51,9 @@ FORMATS = ("text", "csv", "json")
 
 STATUS_PASS, STATUS_FAIL, STATUS_SKIP = 0, 1, 2
 STATUS_NAMES = ("pass", "fail", "skipped")
+
+#: The columns of a CSV or text report.
+_HEADER = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
 
 _BATCH = 512
 
@@ -102,11 +105,7 @@ class IdentityReport:
 
     @property
     def worst_residual(self) -> float:
-        return float(self._live(2).max(initial=0.0))
-
-    def _live(self, column: int) -> np.ndarray:
-        """The rows of job column `column` (1 lhs, 2 residual, 3 rhs) that are not skipped."""
-        return np.concatenate([job[column][job[-1] != STATUS_SKIP] for job in self.jobs] or [np.zeros(0)])
+        return float(reduce(np.maximum, map(_worst, self.jobs), 0.0))
 
     @property
     def records(self) -> list[SweepRecord]:
@@ -122,6 +121,11 @@ class IdentityReport:
 def _summary(counts) -> dict[str, int]:
     """The report summary of status counts indexed by status code."""
     return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}
+
+
+def _worst(job: tuple) -> float:
+    """A job's worst live residual: 0.0 with none live, NaN when one is NaN."""
+    return float(job[2][job[-1] != STATUS_SKIP].max(initial=0.0))
 
 
 def _labelled(fields: tuple[str, ...], jobs) -> Iterator[tuple[tuple, list[str] | None]]:
@@ -435,22 +439,23 @@ def run_sweep(config: SweepConfig) -> IdentityReport:
 def write_report(
     config: SweepConfig, fmt: str, open_out: Callable[[], ContextManager[Callable[[bytes], object]]]
 ) -> dict[str, int]:
-    """Run the configured sweep and write its csv or json report, the bytes of
+    """Run the configured sweep and write its report, the bytes of
     format_report(run_sweep(config), fmt), through the write function that
     open_out() gives, one job at a time; return the summary.
 
     Each job is formatted where it ran (in a pool worker at parallelism > 1),
     and its bytes are written as soon as they arrive in grid order, then
     dropped, so only a few jobs' rows, or at parallelism > 1 a few pool
-    chunks' (see _pooled), are held at once.  open_out is called once the
-    config is valid and the grid admitted.  A job that fails (IntegrityError)
-    ends the run with the jobs before it already written.
+    chunks' (see _pooled), are held at once.  Text runs every job twice, the
+    first time for its column widths alone.  open_out is called once the
+    config is valid, the grid admitted and any widths known.  A job that
+    fails (IntegrityError) ends the run with the jobs before it written.
     """
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"only csv and json are written job by job, got {fmt!r}")
-    results = _results(config, partial(_formatted_job, fmt))
+    _validate_config(config)  # before _sink reads the identity's fields
+    writer, head = _sink(fmt, config, lambda: _results(config, _run_widths))
+    results = _results(config, partial(_formatted_job, writer))
     with open_out() as write:
-        return _write_chunks(fmt, config, results, write)
+        return _write_chunks(fmt, head, results, write)
 
 
 def reproduce_remark() -> IdentityReport:
@@ -535,14 +540,6 @@ def _table_job(fields: tuple[str, ...], job: tuple, labels: list[str] | None, te
     return "".join(parts).encode()
 
 
-def _csv_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
-    """One job's CSV rows."""
-    fields = _SPECS[identity].fields
-    q = '"' if {"chi", "m", "d"} & set(fields) else ""
-    templates = (f"{identity},", f"%d,%d,{q}", "%s", f"{q},%d,%.3e,%d,%s\n", f"{q},,,,skipped\n")
-    return _table_job(fields, job, labels, templates)
-
-
 def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     """One job's JSON records, ", "-separated: each the json.dumps(...,
     sort_keys=True) of its record, one f-string in sorted-key order, _RUN_ROWS
@@ -573,30 +570,69 @@ def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     return ", ".join(parts).encode()
 
 
-def _formatted(fmt: str, identity: str, job: tuple, labels: list[str] | None) -> tuple[bytes, np.ndarray, float]:
-    """A job's csv or json chunk, its status counts and its worst live residual."""
-    status = job[-1]
-    chunk = (_csv_job if fmt == "csv" else _json_job)(identity, job, labels)
-    return chunk, np.bincount(status, minlength=3), float(job[2][status != STATUS_SKIP].max(initial=0.0))
+def _job_widths(identity: str, job: tuple) -> tuple[int, ...]:
+    """Lengths of one job's widest text cells, identity .. rhs, the last three
+    live; a label is longest at the last flat index, where every index is largest."""
+    fields, params, live = _SPECS[identity].fields, job[0], job[-1] != STATUS_SKIP
+    if not len(params):
+        return (0,) * 7
+    top, (lhs, residual, rhs) = params.max(axis=0).tolist(), (col[live] for col in job[1:4])
+    chi = [f"{f}={top[fields.index(f)]}" for f in ("m", "d") if f in fields]
+    if "chi" in fields:
+        group = character_group(_modulus(fields, top))
+        last = char_label(group.character(top[-1])) if top[-1] == group.phi - 1 else None
+        chi.insert(0, last or max(map(character_labels(group.modulus).__getitem__, params[:, -1].tolist()), key=len))
+    plain = (residual == 0) | ((1e-99 <= residual) & (residual < 1e99))  # each "%.3e" cell has 9 characters
+    ends = [[col.min(), col.max()] if col.size else [] for col in (lhs, rhs)]
+    cells = [[identity], [_modulus(fields, top)], [top[fields.index("s")]], [" ".join(chi)], ends[0], ends[1]]
+    cells.insert(5, [f"{v:.3e}" for v in np.unique(np.append(residual[~plain], residual[plain][:1])).tolist()])
+    return tuple(max(map(len, map(str, c)), default=0) for c in cells)
 
 
-def _formatted_job(fmt: str, job: tuple) -> tuple[bytes, np.ndarray, float]:
-    """_formatted of _run_job(job), labelled with its own modulus's labels:
-    the task of a streamed report, run in a pool worker at parallelism > 1."""
-    identity = job[0]
-    [(result, labels)] = _labelled(_SPECS[identity].fields, [_run_job(job)])
-    return _formatted(fmt, identity, result, labels)
+def _run_widths(job: tuple) -> tuple[int, ...]:
+    """_job_widths of _run_job(job): the task of a streamed text report's first run."""
+    return _job_widths(job[0], _run_job(job))
 
 
-def _write_chunks(fmt: str, config: SweepConfig, results, write: Callable[[bytes], object]) -> dict[str, int]:
-    """Write a csv or json report through write: the head (the JSON one from
-    config), each job's chunk from results, _formatted triples in grid order,
-    with ", " between non-empty JSON chunks, then the tail from the merged
-    counts and worst residual.  Returns the summary."""
+def _sink(fmt: str, config: SweepConfig, job_widths: Callable[[], Iterator]) -> tuple[Callable, bytes]:
+    """The job writer (job, labels) -> bytes of config's fmt report, and its head.
+    Text pads every cell but the status to its column's widest, the header included."""
+    if fmt not in FORMATS:
+        raise DomainError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    identity, fields = config.identity, _SPECS[config.identity].fields
+    if fmt == "json":
+        head = json.dumps({"config": asdict(config)}, sort_keys=True)[:-1] + ', "records": ['
+        return partial(_json_job, identity), head.encode()
     if fmt == "csv":
-        write(b"identity,n,s,chi,lhs,residual,rhs,status\n")
-    else:
-        write((json.dumps({"config": asdict(config)}, sort_keys=True)[:-1] + ', "records": [').encode())
+        q = '"' if {"chi", "m", "d"} & set(fields) else ""
+        templates = (f"{identity},", f"%d,%d,{q}", "%s", f"{q},%d,%.3e,%d,%s\n", f"{q},,,,skipped\n")
+        head = ",".join(_HEADER)
+    else:  # "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w)
+        header = [len(h) for h in (max(_HEADER[0], identity, key=len), *_HEADER[1:7])]
+        wi, wn, ws, wc, wl, wr, wh = widths = reduce(np.maximum, job_widths(), np.array(header)).tolist()
+        lead, row = f"{identity.ljust(wi)}  ", f"  %-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
+        templates = (lead, f"%-{wn}d  %-{ws}d  ", f"%-{wc}s", row, " " * (wl + wr + wh + 8) + "skipped\n")
+        head = "  ".join([*(h.ljust(w) for h, w in zip(_HEADER, widths)), "status"])
+    return partial(_table_job, fields, templates=templates), (head + "\n").encode()
+
+
+def _formatted(writer: Callable, job: tuple, labels: list[str] | None) -> tuple[bytes, np.ndarray, float]:
+    """A job's chunk from writer, its status counts and its worst live residual."""
+    return writer(job, labels), np.bincount(job[-1], minlength=3), _worst(job)
+
+
+def _formatted_job(writer: Callable, job: tuple) -> tuple[bytes, np.ndarray, float]:
+    """_formatted of _run_job(job) with its own labels: a streamed report's task."""
+    [(result, labels)] = _labelled(_SPECS[job[0]].fields, [_run_job(job)])
+    return _formatted(writer, result, labels)
+
+
+def _write_chunks(fmt: str, head: bytes, results, write: Callable[[bytes], object]) -> dict[str, int]:
+    """Write a fmt report through write: head, each job's chunk from results,
+    _formatted triples in grid order, with ", " between non-empty JSON chunks,
+    then the tail (the text summary line, or the JSON summary) from the merged
+    counts and worst residual.  Returns the summary."""
+    write(head)
     counts, worst, sep = np.zeros(3, np.int64), 0.0, b""
     for chunk, job_counts, job_worst in results:
         counts += job_counts
@@ -608,46 +644,16 @@ def _write_chunks(fmt: str, config: SweepConfig, results, write: Callable[[bytes
     if fmt == "json":
         tail = json.dumps({"summary": summary, "worst_residual": float(worst)}, sort_keys=True)
         write(f"], {tail[1:]}\n".encode())
+    elif fmt == "text":
+        cells = " ".join(f"{name}={count}" for name, count in summary.items())
+        write(f"summary: {cells} worst_residual={worst:.3e}\n".encode())
     return summary
-
-
-def _format_text(report: IdentityReport) -> bytes:
-    """Columns padded to their widest cell; pass 1 finds the widths, pass 2
-    writes each job's rows through _table_job with the widths baked in."""
-    fields = report.param_fields
-    header = ("identity", "n", "s", "chi", "lhs", "residual", "rhs", "status")
-    # Pass 1: only the cells that can be widest.  The status column is last and unpadded.
-    cells: list[list[str]] = [[report.identity], [], [], [], [], [], [], []]
-    for job, labels in _labelled(fields, report.jobs):
-        if len(job[0]):  # the top row is a character job's head, or a scalar job's largest n, s and d
-            top = job[0].max(axis=0).tolist()
-            chi = [max(map(labels.__getitem__, job[0][:, -1].tolist()), key=len)] if labels else []
-            cells[1].append(str(_modulus(fields, top)))
-            cells[2].append(str(top[fields.index("s")]))
-            cells[3].append(" ".join(chi + [f"{f}={top[fields.index(f)]}" for f in ("m", "d") if f in fields]))
-    for i, column in ((4, 1), (6, 3)):  # lhs and rhs
-        live = report._live(column)
-        cells[i] = [str(live.min()), str(live.max())] if live.size else []
-    cells[5] = [f"{v:.3e}" for v in np.unique(report._live(2)).tolist()]
-    widths = [max([len(h), *map(len, c)]) for h, c in zip(header, cells)]
-    parts = [("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n").encode()]
-    # Pass 2: "%-{w}d" and "%-{w}.3e" equal str(v).ljust(w) and f"{v:.3e}".ljust(w).
-    wi, wn, ws, wc, wl, wr, wh, _ = widths
-    lead, row = f"{report.identity.ljust(wi)}  ", f"  %-{wl}d  %-{wr}.3e  %-{wh}d  %s\n"
-    templates = (lead, f"%-{wn}d  %-{ws}d  ", f"%-{wc}s", row, " " * (wl + wr + wh + 8) + "skipped\n")
-    parts.extend(_table_job(fields, job, labels, templates) for job, labels in _labelled(fields, report.jobs))
-    counts = " ".join(f"{name}={count}" for name, count in report.summary.items())
-    parts.append(f"summary: {counts} worst_residual={report.worst_residual:.3e}\n".encode())
-    return b"".join(parts)
 
 
 def format_report(report: IdentityReport, fmt: str) -> bytes:
     """Serialize a report as text, csv, or json; byte-stable across runs."""
-    if fmt not in FORMATS:
-        raise DomainError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    if fmt == "text":
-        return _format_text(report)
-    chunks = (_formatted(fmt, report.identity, *job) for job in _labelled(report.param_fields, report.jobs))
+    writer, head = _sink(fmt, report.config, lambda: (_job_widths(report.identity, job) for job in report.jobs))
+    chunks = (_formatted(writer, *job) for job in _labelled(report.param_fields, report.jobs))
     parts: list[bytes] = []
-    _write_chunks(fmt, report.config, chunks, parts.append)
+    _write_chunks(fmt, head, chunks, parts.append)
     return b"".join(parts)

@@ -514,6 +514,21 @@ class TestFormats:
         assert size > 18 * 2**20
         assert peak < size / 4
 
+    def test_streamed_text_peak_memory_is_a_fraction_of_the_report(self, tmp_path):
+        # Text, the default format, is streamed too: a first run of the jobs
+        # finds the column widths, a second writes each job's padded rows.
+        target = tmp_path / "t2.txt"
+        argv = ["verify", "theorem2", "--n-max", "1024", "--s", "1,2,3", "--output", str(target)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 27 * 2**20
+        assert peak < size / 4
+
     def test_labels_built_once_per_run_of_jobs_sharing_a_modulus(self, monkeypatch):
         # The lemma jobs for m = s, 2s, ... share the modulus p**n_exp.
         report = run_sweep(SweepConfig(identity="lemma33", n_max=256, s_values=(1, 2)))
@@ -591,11 +606,12 @@ class TestRowWriters:
     def test_csv_and_json_jobs_equal_plain_rows(self, identity, run_rows, monkeypatch):
         monkeypatch.setattr(harness, "_RUN_ROWS", run_rows)
         q = '"' if {"chi", "m", "d"} & set(harness._SPECS[identity].fields) else ""
+        write_csv, _ = harness._sink("csv", SweepConfig(identity, 64), None)
         for job in _WRITER_JOBS[identity]:
             [(_, labels)] = harness._labelled(harness._SPECS[identity].fields, [job])
             rows = list(_plain_rows(identity, job))
             csv = "".join("%s,%s,%s,%s,%s,%s,%s,%s\n" % (*c[:3], q + c[3] + q, *c[4:]) for c, _ in rows)
-            assert harness._csv_job(identity, job, labels) == csv.encode()
+            assert write_csv(job, labels) == csv.encode()
             records = ", ".join(json.dumps(record, sort_keys=True) for _, record in rows)
             assert harness._json_job(identity, job, labels) == records.encode()
 
@@ -684,10 +700,10 @@ class TestCli:
         class Ran(Exception):
             pass
 
-        def capture(config):
+        def capture(config, fmt, open_out):
             raise Ran(config)
 
-        monkeypatch.setattr(cli, "run_sweep", capture)
+        monkeypatch.setattr(cli, "write_report", capture)
         with pytest.raises(Ran) as ran:
             main(["verify", identity])
         assert ran.value.args[0].n_max == pinned[identity]
@@ -720,10 +736,12 @@ class TestCli:
         assert main(["verify", identity, "--n-max", str(modulus)]) == 1
         assert capsys.readouterr().err == f"integrity error: {message}\n"
 
-    def test_failing_streamed_run_leaves_output_as_it_was(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_failing_streamed_run_leaves_output_as_it_was(self, fmt, monkeypatch, tmp_path, capsys):
         # The sums at n = 12 are wrong only after the jobs n = 1..11 have been
-        # formatted and written; the report goes to a temporary file that
-        # replaces the target only once the run completes.
+        # formatted and written (text fails in its width run, before the file
+        # is opened); the report goes to a temporary file that replaces the
+        # target only once the run completes.
         exact = CharacterGroup.all_sums
 
         def off_by_point_seven(self, weights):
@@ -735,7 +753,7 @@ class TestCli:
         monkeypatch.setattr(CharacterGroup, "all_sums", off_by_point_seven)
         target = tmp_path / "report.csv"
         target.write_bytes(b"an earlier report\n")
-        argv = ["verify", "zhao_cao", "--n-max", "12", "--format", "csv", "--output", str(target)]
+        argv = ["verify", "zhao_cao", "--n-max", "12", "--format", fmt, "--output", str(target)]
         assert main(argv) == 1
         message = (
             "character sum at n=12, s=1, chi=12:2^2=[1];3^1=[1] is not within 0.5 of an integer (residual 7.000e-01)"
@@ -745,7 +763,7 @@ class TestCli:
         assert os.listdir(tmp_path) == ["report.csv"]
         monkeypatch.setattr(CharacterGroup, "all_sums", exact)
         assert main(argv) == 0
-        assert target.read_bytes() == format_report(run_sweep(SweepConfig("zhao_cao", 12, output="csv")), "csv")
+        assert target.read_bytes() == format_report(run_sweep(SweepConfig("zhao_cao", 12, output=fmt)), fmt)
         assert os.listdir(tmp_path) == ["report.csv"]
 
     def test_oserror_of_the_sweep_is_not_blamed_on_output(self, monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 """Golden byte guard: sha256 of format_report output for every report kind,
-of the same CSV and JSON reports streamed job by job by write_report, and
-of the char-table dump.
+of the same sweep reports streamed job by job by write_report, and of the
+char-table dump.
 
 The report digests in data/report_digests.json were recorded from the
 row-at-a-time formatter that preceded per-modulus formatting, the char-table
@@ -70,13 +70,13 @@ def _reports():
     yield "theorem2-n64-s12-jobs2", (lambda: run_sweep(jobs2)), ("csv",), jobs2
 
 
-# Each case's format_report bytes ("report"), and for a sweep's CSV and JSON
-# the bytes write_report streams at parallelism 1 and 2.
+# Each case's format_report bytes ("report"), and for a sweep's text, CSV and
+# JSON the bytes write_report streams at parallelism 1 and 2.
 CASES = [
     (name, make, fmt, path)
     for name, make, fmts, config in _reports()
     for fmt in fmts
-    for path in ("report", *(("stream", "stream-jobs2") if config and fmt != "text" else ()))
+    for path in ("report", *(("stream", "stream-jobs2") if config else ()))
 ]
 CONFIGS = {name: config for name, _, _, config in _reports()}
 
