@@ -8,7 +8,21 @@ for Dirichlet characters chi mod n, where (a, b)_s is the largest s-th
 power dividing both arguments, together with the classical Menon, Sury,
 and conductor-weighted specializations, and sweeps them exhaustively at
 desk scale.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
+variable is already set or numpy is already loaded.  menonsums calls no
+BLAS routine (its FFTs are pocketfft and its one dot an int32 einsum), and
+OpenBLAS would otherwise start a thread pool in every process, the CLI,
+its pool workers and perfbench's children alike, at about 0.1 s of CPU
+each.  ``python -m menonsums`` runs this module before ``__main__``, so it
+comes before numpy's import there.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import (
     Factorization,

@@ -163,7 +163,24 @@ class CharValue:
 
 
 def _component_structures(chi: DirichletCharacter) -> list[tuple[int, tuple[int, ...], UnitGroupStructure]]:
-    """Validate a character and pair each component with its group structure."""
+    """Validate a character and pair each component with its group structure.
+
+    A hashable character is validated once while it stays among the last
+    1,024 seen; an invalid one raises on every call, as nothing is cached
+    for it.  Only the structures are kept, so each call pairs them with the
+    components of the character it was given.
+    """
+    try:
+        hash(chi)
+    except TypeError:  # a list among the components
+        structures = _structures(chi)
+    else:
+        structures = _cached_structures(chi)
+    return [(q, idx, st) for (q, idx), st in zip(chi.components, structures)]
+
+
+def _structures(chi: DirichletCharacter) -> tuple[UnitGroupStructure, ...]:
+    """The group structure of each component of chi, once chi is validated."""
     fac = factorize(chi.modulus)
     expected = tuple(p**e for p, e in fac.factors)
     got = tuple(q for q, _ in chi.components)
@@ -180,8 +197,11 @@ def _component_structures(chi: DirichletCharacter) -> list[tuple[int, tuple[int,
         for v, (_, order) in zip(idx, st.generators):
             if not 0 <= v < order:
                 raise DomainError(f"index {v} out of range [0, {order}) in component mod {q}")
-        out.append((q, idx, st))
-    return out
+        out.append(st)
+    return tuple(out)
+
+
+_cached_structures = lru_cache(maxsize=1024)(_structures)
 
 
 def principal_character(n: int) -> DirichletCharacter:

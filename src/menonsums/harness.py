@@ -39,7 +39,8 @@ from typing import Callable, ContextManager, Iterator, NamedTuple
 import numpy as np
 
 from .arith import divisor_tau, euler_phi, factorize, klee_phi, power_divisors, primes_upto, sigma, tau_s
-from .characters import MODULUS_BOUND, char_label, character_group, character_labels
+from .characters import MODULUS_BOUND, DirichletCharacter, char_label, character_group, character_labels
+from .characters import unit_group_structure
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
 from .identities import generalized_weights, menon_sum, sury_sum, zhao_cao_weights
@@ -109,8 +110,9 @@ class IdentityReport:
 
     @property
     def records(self) -> list[SweepRecord]:
-        records = []
-        for job, labels in _labelled(self.param_fields, self.jobs):
+        records, labels_of = [], _Labels(self.param_fields)
+        for job in self.jobs:
+            labels = labels_of(job)
             for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
                 cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
                 params, chi = dict(zip(self.param_fields, row)), labels and labels[row[-1]]
@@ -128,15 +130,19 @@ def _worst(job: tuple) -> float:
     return float(job[2][job[-1] != STATUS_SKIP].max(initial=0.0))
 
 
-def _labelled(fields: tuple[str, ...], jobs) -> Iterator[tuple[tuple, list[str] | None]]:
-    """Each job with its modulus's character labels (None without a chi
-    field); labels are built again only when a job's modulus differs from
+class _Labels:
+    """Called on each job in turn, gives its modulus's character labels (None
+    without a chi field), built again only when a job's modulus differs from
     the previous job's."""
-    labelled = labels = None
-    for job in jobs:
-        if "chi" in fields and len(job[0]) and labelled != (n := _modulus(fields, job[0][0].tolist())):
-            labelled, labels = n, character_labels(n)
-        yield job, labels
+
+    def __init__(self, fields: tuple[str, ...]):
+        self.fields, self.modulus, self.labels = fields, None, None
+
+    def __call__(self, job: tuple) -> list[str] | None:
+        fields = self.fields
+        if "chi" in fields and len(job[0]) and self.modulus != (n := _modulus(fields, job[0][0].tolist())):
+            self.modulus, self.labels = n, character_labels(n)
+        return self.labels
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +459,7 @@ def write_report(
     """
     _validate_config(config)  # before _sink reads the identity's fields
     writer, head = _sink(fmt, config, lambda: _results(config, _run_widths))
-    results = _results(config, partial(_formatted_job, writer))
+    results = _results(config, partial(_formatted_job, writer, _Labels(_SPECS[config.identity].fields)))
     with open_out() as write:
         return _write_chunks(fmt, head, results, write)
 
@@ -579,14 +585,23 @@ def _job_widths(identity: str, job: tuple) -> tuple[int, ...]:
     top, (lhs, residual, rhs) = params.max(axis=0).tolist(), (col[live] for col in job[1:4])
     chi = [f"{f}={top[fields.index(f)]}" for f in ("m", "d") if f in fields]
     if "chi" in fields:
-        group = character_group(_modulus(fields, top))
-        last = char_label(group.character(top[-1])) if top[-1] == group.phi - 1 else None
-        chi.insert(0, last or max(map(character_labels(group.modulus).__getitem__, params[:, -1].tolist()), key=len))
+        n = _modulus(fields, top)
+        last = _last_label(n) if top[-1] == euler_phi(n) - 1 else None
+        chi.insert(0, last or max(map(character_labels(n).__getitem__, params[:, -1].tolist()), key=len))
     plain = (residual == 0) | ((1e-99 <= residual) & (residual < 1e99))  # each "%.3e" cell has 9 characters
     ends = [[col.min(), col.max()] if col.size else [] for col in (lhs, rhs)]
     cells = [[identity], [_modulus(fields, top)], [top[fields.index("s")]], [" ".join(chi)], ends[0], ends[1]]
-    cells.insert(5, [f"{v:.3e}" for v in np.unique(np.append(residual[~plain], residual[plain][:1])).tolist()])
+    cells.insert(5, [f"{v:.3e}" for v in {*residual[~plain].tolist(), *residual[plain][:1].tolist()}])
     return tuple(max(map(len, map(str, c)), default=0) for c in cells)
+
+
+def _last_label(n: int) -> str:
+    """The label of the last character mod n in flat order, whose every index
+    is its generator's order - 1, built without a CharacterGroup."""
+    comps = []
+    for p, e in factorize(n).factors:
+        comps.append((p**e, tuple(order - 1 for _, order in unit_group_structure(p, e).generators)))
+    return char_label(DirichletCharacter(n, tuple(comps)))
 
 
 def _run_widths(job: tuple) -> tuple[int, ...]:
@@ -621,10 +636,13 @@ def _formatted(writer: Callable, job: tuple, labels: list[str] | None) -> tuple[
     return writer(job, labels), np.bincount(job[-1], minlength=3), _worst(job)
 
 
-def _formatted_job(writer: Callable, job: tuple) -> tuple[bytes, np.ndarray, float]:
-    """_formatted of _run_job(job) with its own labels: a streamed report's task."""
-    [(result, labels)] = _labelled(_SPECS[job[0]].fields, [_run_job(job)])
-    return _formatted(writer, result, labels)
+def _formatted_job(writer: Callable, labels_of: _Labels, job: tuple) -> tuple[bytes, np.ndarray, float]:
+    """_formatted of _run_job(job) with its modulus's labels: a streamed
+    report's task.  Each pool chunk gets its own copy of labels_of, so lemma
+    jobs that share a modulus share its labels within a chunk, and at
+    parallelism 1 across the run."""
+    result = _run_job(job)
+    return _formatted(writer, result, labels_of(result))
 
 
 def _write_chunks(fmt: str, head: bytes, results, write: Callable[[bytes], object]) -> dict[str, int]:
@@ -653,7 +671,8 @@ def _write_chunks(fmt: str, head: bytes, results, write: Callable[[bytes], objec
 def format_report(report: IdentityReport, fmt: str) -> bytes:
     """Serialize a report as text, csv, or json; byte-stable across runs."""
     writer, head = _sink(fmt, report.config, lambda: (_job_widths(report.identity, job) for job in report.jobs))
-    chunks = (_formatted(writer, *job) for job in _labelled(report.param_fields, report.jobs))
+    labels_of = _Labels(report.param_fields)
+    chunks = (_formatted(writer, job, labels_of(job)) for job in report.jobs)
     parts: list[bytes] = []
     _write_chunks(fmt, head, chunks, parts.append)
     return b"".join(parts)

@@ -149,6 +149,16 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_character(DirichletCharacter(9, ((9, (7,)),)), 1)  # index out of range
 
+    def test_validation_cache_keeps_errors_and_takes_unhashable_characters(self):
+        for _ in range(2):  # nothing is cached for an invalid character
+            with pytest.raises(DomainError, match="index 7 out of range"):
+                eval_character(DirichletCharacter(9, ((9, (7,)),)), 1)
+        listed = DirichletCharacter(9, ((9, [1]),))  # a list index vector: unhashable, validated per call
+        assert eval_character(listed, 2) == eval_character(DirichletCharacter(9, ((9, (1,)),)), 2)
+        assert char_label(listed) == "9:3^2=[1]"
+        with pytest.raises(DomainError, match="index 7 out of range"):
+            eval_character(DirichletCharacter(9, ((9, [7]),)), 1)
+
 
 class TestConductor:
     def test_contract_examples(self):

@@ -538,6 +538,15 @@ class TestFormats:
         assert len(report.jobs) == 51
         assert len(built) == 20
 
+    @pytest.mark.parametrize("fmt", harness.FORMATS)
+    def test_streamed_labels_built_once_per_run_of_jobs_sharing_a_modulus(self, fmt, monkeypatch, tmp_path):
+        # 26 moduli p**n_exp in 33 runs of consecutive jobs, as format_report counts them.
+        built = []
+        monkeypatch.setattr(harness, "character_labels", lambda n: built.append(n) or character_labels(n))
+        argv = ["verify", "lemma33", "--n-max", "1024", "--s", "1,2", "--format", fmt, "--jobs", "1"]
+        assert main([*argv, "--output", str(tmp_path / "report")]) == 0
+        assert (len(built), len(set(built))) == (33, 26)
+
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             format_report(reproduce_remark(), "xml")
@@ -608,7 +617,7 @@ class TestRowWriters:
         q = '"' if {"chi", "m", "d"} & set(harness._SPECS[identity].fields) else ""
         write_csv, _ = harness._sink("csv", SweepConfig(identity, 64), None)
         for job in _WRITER_JOBS[identity]:
-            [(_, labels)] = harness._labelled(harness._SPECS[identity].fields, [job])
+            labels = harness._Labels(harness._SPECS[identity].fields)(job)
             rows = list(_plain_rows(identity, job))
             csv = "".join("%s,%s,%s,%s,%s,%s,%s,%s\n" % (*c[:3], q + c[3] + q, *c[4:]) for c, _ in rows)
             assert write_csv(job, labels) == csv.encode()
@@ -769,7 +778,7 @@ class TestCli:
     def test_oserror_of_the_sweep_is_not_blamed_on_output(self, monkeypatch, tmp_path):
         # Only opening, writing and replacing the output name it; an OSError
         # from the sweep itself (a pool that cannot fork, say) passes through.
-        def cannot_fork(fmt, job):
+        def cannot_fork(*task_args):
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(harness, "_formatted_job", cannot_fork)
@@ -859,3 +868,18 @@ class TestBackendSelection:
         assert proc.returncode == 0
         assert b"strict_gen,4,2" in proc.stdout
         assert proc.stdout == format_report(reproduce_remark(), "csv")
+
+
+class TestBlasThreads:
+    """menonsums calls no BLAS routine, so importing it asks OpenBLAS for one
+    thread, unless the variable is already set or numpy is already loaded."""
+
+    @pytest.mark.parametrize(
+        "preset, first, expected", [(None, "", "1"), ("2", "", "2"), (None, "import numpy; ", "None")]
+    )
+    def test_import_sets_openblas_threads_only_when_unset(self, preset, first, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update({} if preset is None else {"OPENBLAS_NUM_THREADS": preset})
+        code = f"{first}import os, menonsums; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == f"{expected}\n"
