@@ -12,10 +12,10 @@ desk scale.
 Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
 variable is already set or numpy is already loaded.  menonsums calls no
 BLAS routine (its FFTs are pocketfft and its one dot an int32 einsum), and
-OpenBLAS would otherwise start a thread pool in every process, the CLI,
-its pool workers and perfbench's children alike, at about 0.1 s of CPU
-each.  ``python -m menonsums`` runs this module before ``__main__``, so it
-comes before numpy's import there.
+OpenBLAS would otherwise start a thread pool in each process that loads
+numpy, at about 0.07 s of CPU on a 2-vCPU host.  ``python -m menonsums`` runs this module
+before ``__main__``, so the setting reaches the CLI, its forked pool
+workers and every child that inherits its environment.
 """
 
 import os
