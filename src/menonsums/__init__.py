@@ -13,9 +13,9 @@ Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
 variable is already set or numpy is already loaded.  menonsums calls no
 BLAS routine (its FFTs are pocketfft and its one dot an int32 einsum), and
 OpenBLAS would otherwise start a thread pool in each process that loads
-numpy, at about 0.07 s of CPU on a 2-vCPU host.  ``python -m menonsums`` runs this module
-before ``__main__``, so the setting reaches the CLI, its forked pool
-workers and every child that inherits its environment.
+numpy, at about 0.07 s of CPU on a 2-vCPU host.  ``python -m menonsums``
+runs this module before ``__main__``, so the setting reaches the CLI, its
+forked pool workers and every child that inherits its environment.
 """
 
 import os

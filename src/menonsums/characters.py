@@ -165,9 +165,9 @@ class CharValue:
 def _component_structures(chi: DirichletCharacter) -> list[tuple[int, tuple[int, ...], UnitGroupStructure]]:
     """Validate a character and pair each component with its group structure.
 
-    A hashable character is validated once while it stays among the last
-    1,024 seen; an invalid one raises on every call, as nothing is cached
-    for it.  Only the structures are kept, so each call pairs them with the
+    A hashable character is validated once while it stays among the 1,024
+    most recently used; an invalid one raises on every call, as nothing is
+    cached for it.  Only the structures are kept, so each call pairs them with the
     components of the character it was given.
     """
     try:

@@ -879,7 +879,8 @@ class TestBlasThreads:
     )
     def test_import_sets_openblas_threads_only_when_unset(self, preset, first, expected):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env.update({} if preset is None else {"OPENBLAS_NUM_THREADS": preset})
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
         code = f"{first}import os, menonsums; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout == f"{expected}\n"
