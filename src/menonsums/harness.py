@@ -4,11 +4,13 @@ Every identity is one row of ``_SPECS``: its report fields, n_max bound
 and default, and job grid, plus either a scalar check at each point(n, s) of
 each n or the weights of a sum over all characters of one modulus with one
 rhs(d, *head) per conductor d, None outside its hypothesis.  ``_run_job`` is
-the one runner for both kinds, and ``_results`` the one job loop from a
-config to its job results in grid order: ``run_sweep`` keeps them as a
-report for every identity (the counterexample search is its strict_gen
-sweep, and the remark is one row of that sweep), and ``write_report``
-formats each job where it ran and writes its bytes as they arrive.
+the one runner for both kinds, ``_jobs`` validates a config and admits its
+grid once per run, and ``_results`` runs those jobs in grid order:
+``run_sweep`` keeps their results as a report for every identity (the
+counterexample search is its strict_gen sweep, and the remark is one row of
+its last job at n = 4).  ``_write`` is the one report writer, over a report's
+jobs in ``format_report``, or in ``write_report`` over ``_ran``, the one job
+task, which formats each job where it ran so its bytes go out as they arrive.
 Every sweep exhaustively enumerates its grid (all n, s and characters), emits
 one record per instance, and aggregates a pass/fail/skipped summary.  Each
 job returns its final rows as numpy columns, tolerance test included, so that
@@ -25,6 +27,7 @@ text at any parallelism; JSON differs only in the echoed config.parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -391,20 +394,23 @@ def _admit(identity: str, spec: IdentitySpec, heads: list[tuple]) -> None:
             raise ResourceError(f"{identity} sweep refused: {total} rows counted exceed the budget {ROW_BUDGET}")
 
 
-def _results(config: SweepConfig, task: Callable) -> Iterator:
-    """task(job) for each job (identity, head, tolerance) of the configured
-    sweep, of any identity in _SPECS, in grid order: serially, or in a pool
-    of config.parallelism workers.
+def _jobs(config: SweepConfig) -> list[tuple]:
+    """The jobs (identity, head, tolerance) of the configured sweep, of any
+    identity in _SPECS, in grid order; called once per run.
 
-    The config is validated and the grid's rows counted here, before this
-    returns and before any job runs; a bound violation refuses the whole run
-    rather than truncating it.  The jobs run as the results are read.
+    The config is validated and the grid's rows counted here, before any job
+    runs; a bound violation refuses the whole run rather than truncating it.
     """
     _validate_config(config)
     spec = _SPECS[config.identity]
     heads = spec.grid(config.n_max, tuple(dict.fromkeys(config.s_values)))
     _admit(config.identity, spec, heads)
-    jobs = [(config.identity, head, config.tolerance) for head in heads]
+    return [(config.identity, head, config.tolerance) for head in heads]
+
+
+def _results(config: SweepConfig, jobs: list[tuple], task: Callable) -> Iterator:
+    """task(job) for each of jobs in grid order: serially, or in a pool of
+    config.parallelism workers.  The jobs run as the results are read."""
     # Under fork the pool starts every worker at its first submit, so cap them.
     workers = min(config.parallelism, len(jobs), os.cpu_count() or 1)
     return _pooled(task, jobs, workers) if workers > 1 else map(task, jobs)
@@ -433,13 +439,20 @@ def _run_chunk(task: Callable, jobs: list[tuple]) -> list:
     return [task(job) for job in jobs]
 
 
+def _ran(task: Callable, job: tuple):
+    """task(_run_job(job)), a streamed report's one job task.  Each pool chunk
+    gets its own copy of task, so lemma jobs sharing a modulus share its
+    labels (see _Labels) within a chunk, and at parallelism 1 across the run."""
+    return task(_run_job(job))
+
+
 def run_sweep(config: SweepConfig) -> IdentityReport:
     """Run the configured sweep, of any identity in _SPECS, and return its report.
 
     The config is validated and the grid's rows counted before any job runs;
     a bound violation refuses the whole run rather than truncating it.
     """
-    return IdentityReport(config, list(_results(config, _run_job)))
+    return IdentityReport(config, list(_results(config, _jobs(config), _run_job)))
 
 
 def write_report(
@@ -452,32 +465,29 @@ def write_report(
     Each job is formatted where it ran (in a pool worker at parallelism > 1),
     and its bytes are written as soon as they arrive in grid order, then
     dropped, so only a few jobs' rows, or at parallelism > 1 a few pool
-    chunks' (see _pooled), are held at once.  Text runs every job twice, the
-    first time for its column widths alone.  open_out is called once the
-    config is valid, the grid admitted and any widths known.  A job that
+    chunks' (see _pooled), are held at once.  Text runs every job twice (see
+    _write), both times from one admitted job list.  open_out is called once
+    the config is valid, the grid admitted and any widths known.  A job that
     fails (IntegrityError) ends the run with the jobs before it written.
     """
-    _validate_config(config)  # before _sink reads the identity's fields
-    writer, head = _sink(fmt, config, lambda: _results(config, _run_widths))
-    results = _results(config, partial(_formatted_job, writer, _Labels(_SPECS[config.identity].fields)))
-    with open_out() as write:
-        return _write_chunks(fmt, head, results, write)
+    jobs = _jobs(config)
+    return _write(fmt, config, lambda task: _results(config, jobs, partial(_ran, task)), open_out)
 
 
 def reproduce_remark() -> IdentityReport:
     """Evaluate the strict-generalization counterexample n=4, s=2, principal.
 
     The record is row 0 (the principal character) of the last job, n=4, of
-    the strict_gen sweep at n_max=4, s=2.  It must come out LHS=5 vs RHS=6
-    with status fail; that failure is the expected, documented outcome, so
-    callers treat it as success.  Any other values raise IntegrityError.
+    the strict_gen sweep at n_max=4, s=2, run alone.  It must come out LHS=5
+    vs RHS=6 with status fail; that failure is the expected, documented
+    outcome, so callers treat it as success.  Any other values raise IntegrityError.
     """
-    report = run_sweep(SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,)))
-    job = tuple(col[:1] for col in report.jobs[-1])
+    config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
+    job = tuple(col[:1] for col in _run_job(_jobs(config)[-1]))
     lhs, rhs = job[1][0], job[3][0]
     if lhs != 5 or rhs != 6:
         raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs}, RHS={rhs}")
-    return IdentityReport(report.config, [job])
+    return IdentityReport(config, [job])
 
 
 def search_config(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> SweepConfig:
@@ -604,11 +614,6 @@ def _last_label(n: int) -> str:
     return char_label(DirichletCharacter(n, tuple(comps)))
 
 
-def _run_widths(job: tuple) -> tuple[int, ...]:
-    """_job_widths of _run_job(job): the task of a streamed text report's first run."""
-    return _job_widths(job[0], _run_job(job))
-
-
 def _sink(fmt: str, config: SweepConfig, job_widths: Callable[[], Iterator]) -> tuple[Callable, bytes]:
     """The job writer (job, labels) -> bytes of config's fmt report, and its head.
     Text pads every cell but the status to its column's widest, the header included."""
@@ -631,48 +636,41 @@ def _sink(fmt: str, config: SweepConfig, job_widths: Callable[[], Iterator]) -> 
     return partial(_table_job, fields, templates=templates), (head + "\n").encode()
 
 
-def _formatted(writer: Callable, job: tuple, labels: list[str] | None) -> tuple[bytes, np.ndarray, float]:
-    """A job's chunk from writer, its status counts and its worst live residual."""
-    return writer(job, labels), np.bincount(job[-1], minlength=3), _worst(job)
+def _formatted(writer: Callable, labels_of: _Labels, job: tuple) -> tuple[bytes, np.ndarray, float]:
+    """A job's chunk from writer with its modulus's labels, its status counts and its worst live residual."""
+    return writer(job, labels_of(job)), np.bincount(job[-1], minlength=3), _worst(job)
 
 
-def _formatted_job(writer: Callable, labels_of: _Labels, job: tuple) -> tuple[bytes, np.ndarray, float]:
-    """_formatted of _run_job(job) with its modulus's labels: a streamed
-    report's task.  Each pool chunk gets its own copy of labels_of, so lemma
-    jobs that share a modulus share its labels within a chunk, and at
-    parallelism 1 across the run."""
-    result = _run_job(job)
-    return _formatted(writer, result, labels_of(result))
-
-
-def _write_chunks(fmt: str, head: bytes, results, write: Callable[[bytes], object]) -> dict[str, int]:
-    """Write a fmt report through write: head, each job's chunk from results,
-    _formatted triples in grid order, with ", " between non-empty JSON chunks,
-    then the tail (the text summary line, or the JSON summary) from the merged
-    counts and worst residual.  Returns the summary."""
-    write(head)
-    counts, worst, sep = np.zeros(3, np.int64), 0.0, b""
-    for chunk, job_counts, job_worst in results:
-        counts += job_counts
-        worst = np.maximum(worst, job_worst)  # a NaN residual propagates, as in a max over every row
-        if chunk:
-            write(sep + chunk)
-            sep = b", " if fmt == "json" else b""
-    summary = _summary(counts)
-    if fmt == "json":
-        tail = json.dumps({"summary": summary, "worst_residual": float(worst)}, sort_keys=True)
-        write(f"], {tail[1:]}\n".encode())
-    elif fmt == "text":
-        cells = " ".join(f"{name}={count}" for name, count in summary.items())
-        write(f"summary: {cells} worst_residual={worst:.3e}\n".encode())
+def _write(fmt: str, config: SweepConfig, run: Callable, open_out: Callable) -> dict[str, int]:
+    """Write config's fmt report through the write function that open_out()
+    gives, where run(task) yields task(result) for each job result in grid
+    order: head, each job's _formatted chunk, with ", " between non-empty JSON
+    chunks, then the tail (the text summary line, or the JSON summary) from
+    the merged counts and worst residual.  Text calls run twice, the first
+    time for the column widths.  Returns the summary."""
+    writer, head = _sink(fmt, config, lambda: run(partial(_job_widths, config.identity)))
+    results = run(partial(_formatted, writer, _Labels(_SPECS[config.identity].fields)))
+    with open_out() as write:
+        write(head)
+        counts, worst, sep = np.zeros(3, np.int64), 0.0, b""
+        for chunk, job_counts, job_worst in results:
+            counts += job_counts
+            worst = np.maximum(worst, job_worst)  # a NaN residual propagates, as in a max over every row
+            if chunk:
+                write(sep + chunk)
+                sep = b", " if fmt == "json" else b""
+        summary = _summary(counts)
+        if fmt == "json":
+            tail = json.dumps({"summary": summary, "worst_residual": float(worst)}, sort_keys=True)
+            write(f"], {tail[1:]}\n".encode())
+        elif fmt == "text":
+            cells = " ".join(f"{name}={count}" for name, count in summary.items())
+            write(f"summary: {cells} worst_residual={worst:.3e}\n".encode())
     return summary
 
 
 def format_report(report: IdentityReport, fmt: str) -> bytes:
     """Serialize a report as text, csv, or json; byte-stable across runs."""
-    writer, head = _sink(fmt, report.config, lambda: (_job_widths(report.identity, job) for job in report.jobs))
-    labels_of = _Labels(report.param_fields)
-    chunks = (_formatted(writer, job, labels_of(job)) for job in report.jobs)
     parts: list[bytes] = []
-    _write_chunks(fmt, head, chunks, parts.append)
+    _write(fmt, report.config, lambda task: map(task, report.jobs), lambda: contextlib.nullcontext(parts.append))
     return b"".join(parts)

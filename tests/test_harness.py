@@ -1,5 +1,6 @@
 """Sweep harness: grids, reports, serialization, CLI, exit codes."""
 
+import contextlib
 import errno
 import functools
 import importlib.util
@@ -547,6 +548,23 @@ class TestFormats:
         assert main([*argv, "--output", str(tmp_path / "report")]) == 0
         assert (len(built), len(set(built))) == (33, 26)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", harness.FORMATS)
+    def test_streamed_run_validates_and_admits_its_grid_once(self, fmt, jobs, monkeypatch):
+        # Text runs its jobs twice, for the widths and then the rows, from one admitted job list.
+        calls = []
+
+        def counted(name, check):
+            return lambda *args: calls.append(name) or check(*args)
+
+        for name in ("_validate_config", "_admit"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        config = SweepConfig("theorem2", 64, (1, 2), output=fmt, parallelism=jobs)
+        parts = []
+        harness.write_report(config, fmt, lambda: contextlib.nullcontext(parts.append))
+        assert calls == ["_validate_config", "_admit"]
+        assert b"".join(parts) == format_report(run_sweep(config), fmt)
+
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             format_report(reproduce_remark(), "xml")
@@ -781,7 +799,7 @@ class TestCli:
         def cannot_fork(*task_args):
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(harness, "_formatted_job", cannot_fork)
+        monkeypatch.setattr(harness, "_ran", cannot_fork)
         target = tmp_path / "report.csv"
         target.write_bytes(b"an earlier report\n")
         with pytest.raises(BlockingIOError):
