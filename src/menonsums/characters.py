@@ -339,12 +339,14 @@ def char_label(chi: DirichletCharacter) -> str:
     return f"{chi.modulus}:" + ";".join(parts)
 
 
+@lru_cache(maxsize=1)
 def character_labels(n: int) -> list[str]:
     """Labels of all phi(n) characters mod n in the canonical flat order.
 
     Entry j equals ``char_label(enumerate_characters(n)[j])``; each prime
     power's cells are built by comprehension over its generator orders and
-    the prime powers are concatenated in product order.
+    the prime powers are concatenated in product order.  Only the last
+    modulus's list is kept; it is shared, and must not be changed.
     """
     if n > MODULUS_BOUND:
         raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
@@ -412,7 +414,6 @@ class CharacterGroup:
                 self.units = (self.units[:, None] * kernels.powers((1 + (g - 1) * lift) % n, order, n) % n).ravel()
         self.coprime = np.zeros(n, dtype=bool)
         self.coprime[self.units] = True
-        self._labels: list[str] | None = None
 
     # -- per-character paths ------------------------------------------------
 
@@ -472,14 +473,8 @@ class CharacterGroup:
     def flat_index(self, chi: DirichletCharacter) -> int:
         return int(np.ravel_multi_index(self._axes(chi), self.orders))
 
-    def labels(self) -> list[str]:
-        """Label of every character, indexed like all_sums output."""
-        if self._labels is None:
-            self._labels = character_labels(self.modulus)
-        return self._labels
-
     def label(self, flat: int) -> str:
-        return self.labels()[flat]
+        return character_labels(self.modulus)[flat]
 
 
 @lru_cache(maxsize=16)

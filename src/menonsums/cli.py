@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 when all expectations are met (the remark's failure and
 search findings count as expected), 1 on an unexpected identity violation,
-2 on usage or configuration errors.
+2 on usage or configuration errors, 3 when a run is cut short (a pool
+worker died, or memory ran out).
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import math
 import os
 import stat
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, ContextManager, Iterator
 
 import numpy as np
 
 from .arith import euler_phi
-from .characters import character_group, character_order
+from .characters import character_group, character_labels, character_order
 from .errors import DomainError, IntegrityError, ResourceError
 from .harness import (
     _SPECS,
@@ -150,10 +152,11 @@ def _emit(payload: bytes, output: str | None) -> None:
 TABLE_BOUND = 10**7
 
 
-def char_table_bytes(n: int, fmt: str) -> bytes:
-    """Character table of modulus n: label, conductor, primitivity, order,
-    and the exact values chi(1..n) as turn fractions ('0' marks the zero value).
-    A table over TABLE_BOUND value cells is refused before any group is built."""
+def _write_table(n: int, fmt: str, open_out: Callable[[], ContextManager[Callable[[bytes], object]]]) -> None:
+    """Write the character table of modulus n, each row as it is made, through the write
+    function that open_out() gives: label, conductor, primitivity, order, and the exact
+    values chi(1..n) as turn fractions ('0' marks the zero value).  A table over
+    TABLE_BOUND value cells is refused before any group is built or open_out is called."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
     phi = euler_phi(n)
@@ -165,21 +168,27 @@ def char_table_bytes(n: int, fmt: str) -> bytes:
     tokens = [f"{t // math.gcd(t, L)}/{L // math.gcd(t, L)}" for t in range(L)] + ["0"]
     ks = np.arange(1, n + 1) % n
     conds = group.conductors()
-    # Each row is encoded as it is built, so only the rows' bytes are held.
     header = ["chi", "conductor", "primitive", "order", *(f"k{k}" for k in range(1, n + 1))]
-    parts = [b'{"characters": [' if fmt == "json" else (",".join(header) + "\n").encode()]
-    for j, label in enumerate(group.labels()):
-        chi = group.character(j)
-        conductor, order = int(conds[j]), character_order(chi)
-        values = [tokens[t] for t in group.turn_numerators(chi)[ks].tolist()]
+    with open_out() as write:
+        write(b'{"characters": [' if fmt == "json" else (",".join(header) + "\n").encode())
+        for j, label in enumerate(character_labels(n)):
+            chi = group.character(j)
+            conductor, order = int(conds[j]), character_order(chi)
+            values = [tokens[t] for t in group.turn_numerators(chi)[ks].tolist()]
+            if fmt == "json":
+                row = dict(chi=label, conductor=conductor, primitive=conductor == n, order=order, values=values)
+                write(((", " if j else "") + json.dumps(row, sort_keys=True)).encode())
+            else:
+                cells = [f'"{label}"', str(conductor), str(conductor == n).lower(), str(order), *values]
+                write((",".join(cells) + "\n").encode())
         if fmt == "json":
-            row = {"chi": label, "conductor": conductor, "primitive": conductor == n, "order": order, "values": values}
-            parts.append(((", " if j else "") + json.dumps(row, sort_keys=True)).encode())
-        else:
-            cells = [f'"{label}"', str(conductor), str(conductor == n).lower(), str(order), *values]
-            parts.append((",".join(cells) + "\n").encode())
-    if fmt == "json":
-        parts.append(("], " + json.dumps({"modulus": n, "phi": phi}, sort_keys=True)[1:] + "\n").encode())
+            write(("], " + json.dumps({"modulus": n, "phi": phi}, sort_keys=True)[1:] + "\n").encode())
+
+
+def char_table_bytes(n: int, fmt: str) -> bytes:
+    """The character table of modulus n, the bytes _write_table writes."""
+    parts: list[bytes] = []
+    _write_table(n, fmt, lambda: contextlib.nullcontext(parts.append))
     return b"".join(parts)
 
 
@@ -187,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "char-table":
-            _emit(char_table_bytes(args.n, args.format), args.output)
+            _write_table(args.n, args.format, partial(_opened, args.output))
             return 0
         if args.command == "remark":
             _emit(format_report(reproduce_remark(), args.format), args.output)
@@ -212,6 +221,9 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1
+    except (BrokenProcessPool, MemoryError) as exc:
+        print(f"error: run cut short: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

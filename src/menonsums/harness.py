@@ -113,9 +113,9 @@ class IdentityReport:
 
     @property
     def records(self) -> list[SweepRecord]:
-        records, labels_of = [], _Labels(self.param_fields)
+        records = []
         for job in self.jobs:
-            labels = labels_of(job)
+            labels = _labels(self.param_fields, job)
             for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
                 cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
                 params, chi = dict(zip(self.param_fields, row)), labels and labels[row[-1]]
@@ -133,19 +133,11 @@ def _worst(job: tuple) -> float:
     return float(job[2][job[-1] != STATUS_SKIP].max(initial=0.0))
 
 
-class _Labels:
-    """Called on each job in turn, gives its modulus's character labels (None
-    without a chi field), built again only when a job's modulus differs from
-    the previous job's."""
-
-    def __init__(self, fields: tuple[str, ...]):
-        self.fields, self.modulus, self.labels = fields, None, None
-
-    def __call__(self, job: tuple) -> list[str] | None:
-        fields = self.fields
-        if "chi" in fields and len(job[0]) and self.modulus != (n := _modulus(fields, job[0][0].tolist())):
-            self.modulus, self.labels = n, character_labels(n)
-        return self.labels
+def _labels(fields: tuple[str, ...], job: tuple) -> list[str] | None:
+    """The character labels of a character job's modulus, None for a job
+    without a chi field or rows; character_labels keeps the last modulus's,
+    so they are built once per run of consecutive jobs sharing a modulus."""
+    return character_labels(_modulus(fields, job[0][0].tolist())) if "chi" in fields and len(job[0]) else None
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +432,7 @@ def _run_chunk(task: Callable, jobs: list[tuple]) -> list:
 
 
 def _ran(task: Callable, job: tuple):
-    """task(_run_job(job)), a streamed report's one job task.  Each pool chunk
-    gets its own copy of task, so lemma jobs sharing a modulus share its
-    labels (see _Labels) within a chunk, and at parallelism 1 across the run."""
+    """task(_run_job(job)), a streamed report's one job task."""
     return task(_run_job(job))
 
 
@@ -636,9 +626,9 @@ def _sink(fmt: str, config: SweepConfig, job_widths: Callable[[], Iterator]) -> 
     return partial(_table_job, fields, templates=templates), (head + "\n").encode()
 
 
-def _formatted(writer: Callable, labels_of: _Labels, job: tuple) -> tuple[bytes, np.ndarray, float]:
+def _formatted(writer: Callable, fields: tuple[str, ...], job: tuple) -> tuple[bytes, np.ndarray, float]:
     """A job's chunk from writer with its modulus's labels, its status counts and its worst live residual."""
-    return writer(job, labels_of(job)), np.bincount(job[-1], minlength=3), _worst(job)
+    return writer(job, _labels(fields, job)), np.bincount(job[-1], minlength=3), _worst(job)
 
 
 def _write(fmt: str, config: SweepConfig, run: Callable, open_out: Callable) -> dict[str, int]:
@@ -649,7 +639,7 @@ def _write(fmt: str, config: SweepConfig, run: Callable, open_out: Callable) -> 
     the merged counts and worst residual.  Text calls run twice, the first
     time for the column widths.  Returns the summary."""
     writer, head = _sink(fmt, config, lambda: run(partial(_job_widths, config.identity)))
-    results = run(partial(_formatted, writer, _Labels(_SPECS[config.identity].fields)))
+    results = run(partial(_formatted, writer, _SPECS[config.identity].fields))
     with open_out() as write:
         write(head)
         counts, worst, sep = np.zeros(3, np.int64), 0.0, b""

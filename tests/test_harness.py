@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -534,7 +535,8 @@ class TestFormats:
         # The lemma jobs for m = s, 2s, ... share the modulus p**n_exp.
         report = run_sweep(SweepConfig(identity="lemma33", n_max=256, s_values=(1, 2)))
         built = []
-        monkeypatch.setattr(harness, "character_labels", lambda n: built.append(n) or character_labels(n))
+        counted = functools.lru_cache(maxsize=1)(lambda n: built.append(n) or character_labels(n))
+        monkeypatch.setattr(harness, "character_labels", counted)
         format_report(report, "csv")
         assert len(report.jobs) == 51
         assert len(built) == 20
@@ -543,7 +545,8 @@ class TestFormats:
     def test_streamed_labels_built_once_per_run_of_jobs_sharing_a_modulus(self, fmt, monkeypatch, tmp_path):
         # 26 moduli p**n_exp in 33 runs of consecutive jobs, as format_report counts them.
         built = []
-        monkeypatch.setattr(harness, "character_labels", lambda n: built.append(n) or character_labels(n))
+        counted = functools.lru_cache(maxsize=1)(lambda n: built.append(n) or character_labels(n))
+        monkeypatch.setattr(harness, "character_labels", counted)
         argv = ["verify", "lemma33", "--n-max", "1024", "--s", "1,2", "--format", fmt, "--jobs", "1"]
         assert main([*argv, "--output", str(tmp_path / "report")]) == 0
         assert (len(built), len(set(built))) == (33, 26)
@@ -635,7 +638,7 @@ class TestRowWriters:
         q = '"' if {"chi", "m", "d"} & set(harness._SPECS[identity].fields) else ""
         write_csv, _ = harness._sink("csv", SweepConfig(identity, 64), None)
         for job in _WRITER_JOBS[identity]:
-            labels = harness._Labels(harness._SPECS[identity].fields)(job)
+            labels = harness._labels(harness._SPECS[identity].fields, job)
             rows = list(_plain_rows(identity, job))
             csv = "".join("%s,%s,%s,%s,%s,%s,%s,%s\n" % (*c[:3], q + c[3] + q, *c[4:]) for c, _ in rows)
             assert write_csv(job, labels) == csv.encode()
@@ -675,6 +678,22 @@ class TestCharTable:
         assert len(doc["characters"]) == 6
         orders = sorted(c["order"] for c in doc["characters"])
         assert orders == [1, 2, 3, 3, 6, 6]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streamed_table_peak_memory_is_a_fraction_of_the_table(self, fmt, tmp_path):
+        # The CLI writes each row as it is made; holding the whole table, as
+        # char_table_bytes does, peaks at about twice its size.
+        target = tmp_path / f"t503.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["char-table", "503", "--format", fmt, "--output", str(target)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 2**20
+        assert peak < size / 3
+        assert target.read_bytes() == char_table_bytes(503, fmt)
 
     def test_refuses_oversized_table(self):
         with pytest.raises(ResourceError, match=r"phi\(n\)\*n = 100130042 cells exceed 10000000"):
@@ -834,15 +853,49 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["modulus"] == 9
 
-    def test_char_table_refused_before_group_build(self, monkeypatch, capsys):
+    def test_char_table_refused_before_group_build(self, monkeypatch, capsys, tmp_path):
         def no_group(n):
             raise AssertionError(f"character group mod {n} built for a refused table")
 
         monkeypatch.setattr(cli, "character_group", no_group)
+        target = tmp_path / "table.csv"
+        target.write_bytes(b"an earlier table\n")
         start = time.perf_counter()
         assert main(["char-table", "10007"]) == 2
+        assert main(["char-table", "10007", "--output", str(target)]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "char-table refused" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("char-table refused") == 2
+        assert target.read_bytes() == b"an earlier table\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_killed_pool_worker_exits_three(self, monkeypatch, tmp_path, capsys):
+        # Pool workers are forked, so the patched _run_job kills them and only them.
+        parent, run_job = os.getpid(), harness._run_job
+
+        def dies_in_a_worker(job):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_job(job)
+
+        monkeypatch.setattr(harness, "_run_job", dies_in_a_worker)
+        target = tmp_path / "report.csv"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["verify", "zhao_cao", "--n-max", "200", "--jobs", "2", "--format", "csv", "--output", str(target)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: run cut short: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert target.read_bytes() == b"an earlier report\n"
+        assert os.listdir(tmp_path) == ["report.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_memory_error_exits_three(self, monkeypatch, capsys):
+        def out_of_memory(*task_args):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, "_ran", out_of_memory)
+        assert main(["verify", "zhao_cao", "--n-max", "12", "--format", "csv"]) == 3
+        assert capsys.readouterr().err == "error: run cut short: MemoryError\n"
 
     def test_subprocess_entry_point(self):
         proc = subprocess.run(
