@@ -7,6 +7,11 @@ reproducible labeling of the whole character group.  Values are exact
 fractions of a full turn; conversion to floating complex happens only when
 sums are accumulated.
 
+A ``DirichletCharacter(n, components)`` is checked once, when it is made:
+its components are the prime powers of n in ascending order, each with one
+index in [0, order) per generator of its unit group, or it raises
+``DomainError``; no evaluator checks a character's shape again.
+
 The character group mod n is the product of the groups mod its prime
 powers, so the generators that ``unit_group_structure(p, a)`` gives are the
 single source of every character fact.  Enumeration order, labels, flat
@@ -112,12 +117,32 @@ class DirichletCharacter:
 
     ``components`` lists (p**a, index_vector) in ascending prime order;
     entry i of an index vector is the exponent applied to generator i of
-    that prime power's unit group.  All-zero vectors give the principal
-    character.
+    that prime power's unit group, in [0, its order).  All-zero vectors give
+    the principal character.  A character of any other shape raises
+    ``DomainError`` when it is made.
     """
 
     modulus: int
     components: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        # Kept as tuples, so that the character stays as it was checked.
+        object.__setattr__(self, "components", tuple((q, tuple(idx)) for q, idx in self.components))
+        fac = factorize(self.modulus)
+        expected = tuple(p**e for p, e in fac.factors)
+        got = tuple(q for q, _ in self.components)
+        if got != expected:
+            raise DomainError(
+                f"malformed character: components {got} do not match the "
+                f"prime powers {expected} of modulus {self.modulus}"
+            )
+        for (p, e), (q, idx) in zip(fac.factors, self.components):
+            st = unit_group_structure(p, e)
+            if len(idx) != len(st.generators):
+                raise DomainError(f"component mod {q} needs {len(st.generators)} indices, got {len(idx)}")
+            for v, (_, order) in zip(idx, st.generators):
+                if not 0 <= v < order:
+                    raise DomainError(f"index {v} out of range [0, {order}) in component mod {q}")
 
 
 @dataclass(frozen=True)
@@ -163,45 +188,8 @@ class CharValue:
 
 
 def _component_structures(chi: DirichletCharacter) -> list[tuple[int, tuple[int, ...], UnitGroupStructure]]:
-    """Validate a character and pair each component with its group structure.
-
-    A hashable character is validated once while it stays among the 1,024
-    most recently used; an invalid one raises on every call, as nothing is
-    cached for it.  Only the structures are kept, so each call pairs them with the
-    components of the character it was given.
-    """
-    try:
-        hash(chi)
-    except TypeError:  # a list among the components
-        structures = _structures(chi)
-    else:
-        structures = _cached_structures(chi)
-    return [(q, idx, st) for (q, idx), st in zip(chi.components, structures)]
-
-
-def _structures(chi: DirichletCharacter) -> tuple[UnitGroupStructure, ...]:
-    """The group structure of each component of chi, once chi is validated."""
-    fac = factorize(chi.modulus)
-    expected = tuple(p**e for p, e in fac.factors)
-    got = tuple(q for q, _ in chi.components)
-    if got != expected:
-        raise DomainError(
-            f"malformed character: components {got} do not match the "
-            f"prime powers {expected} of modulus {chi.modulus}"
-        )
-    out = []
-    for (p, e), (q, idx) in zip(fac.factors, chi.components):
-        st = unit_group_structure(p, e)
-        if len(idx) != len(st.generators):
-            raise DomainError(f"component mod {q} needs {len(st.generators)} indices, got {len(idx)}")
-        for v, (_, order) in zip(idx, st.generators):
-            if not 0 <= v < order:
-                raise DomainError(f"index {v} out of range [0, {order}) in component mod {q}")
-        out.append(st)
-    return tuple(out)
-
-
-_cached_structures = lru_cache(maxsize=1024)(_structures)
+    """Pair each component of chi with the group structure of its prime power."""
+    return [(q, idx, unit_group_structure(p, e)) for (q, idx), (p, e) in zip(chi.components, factorize(chi.modulus).factors)]
 
 
 def principal_character(n: int) -> DirichletCharacter:
@@ -291,7 +279,6 @@ def factor_character(chi: DirichletCharacter) -> list[DirichletCharacter]:
     The pointwise product of the factors over coprime arguments equals chi;
     for primitive chi every factor is primitive.
     """
-    _component_structures(chi)
     return [DirichletCharacter(q, ((q, idx),)) for q, idx in chi.components]
 
 
@@ -421,10 +408,7 @@ class CharacterGroup:
         """The index vectors of chi, concatenated in the order of self.orders."""
         if chi.modulus != self.modulus:
             raise DomainError(f"modulus mismatch: {chi.modulus} != {self.modulus}")
-        flat = tuple(v for _, idx in chi.components for v in idx)
-        if len(flat) != len(self.orders):
-            raise DomainError("malformed character for this modulus")
-        return flat
+        return tuple(v for _, idx in chi.components for v in idx)
 
     def turn_numerators(self, chi: DirichletCharacter) -> np.ndarray:
         """t[k] with chi(k) = exp(2*pi*i*t[k]/lcm); -1 where chi(k) = 0."""

@@ -46,7 +46,7 @@ from .characters import MODULUS_BOUND, DirichletCharacter, char_label, character
 from .characters import unit_group_structure
 from .errors import DomainError, IntegrityError, ResourceError
 from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
-from .identities import generalized_weights, menon_sum, sury_sum, zhao_cao_weights
+from .identities import generalized_weights, menon_sum, sury_sum
 
 #: Identity name used by the remark reproduction and the counterexample search.
 STRICT_GEN = "strict_gen"
@@ -246,7 +246,6 @@ _SPECS: dict[str, IdentitySpec] = {
     "zhao_cao": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 100,
         lambda n_max, s_values: [(n, 1) for n in range(1, n_max + 1)],
-        weights=lambda n, s: zhao_cao_weights(n),
         rhs=lambda d, n, s: euler_phi(n) * divisor_tau(n // d),
     ),
     "theorem1": IdentitySpec(

@@ -96,11 +96,6 @@ def sury_sum(n: int, s_vars: int) -> int:
     return sum(c * int(np.gcd(acc, x).sum()) for x, c in zip(g.tolist(), count.tolist()))
 
 
-def _check_char_modulus(n: int, chi: DirichletCharacter, op: str) -> None:
-    if chi.modulus != n:
-        raise DomainError(f"{op}: character modulus {chi.modulus} != n = {n}")
-
-
 def zhao_cao_weights(n: int) -> np.ndarray:
     """w[k] = gcd(k-1, n) for the residues k in [0, n)."""
     return np.gcd((np.arange(n, dtype=np.int64) - 1) % n, n)
@@ -123,7 +118,6 @@ def zhao_cao_sum(n: int, chi: DirichletCharacter) -> SumResult:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > SUM_BOUND:
         raise ResourceError(f"zhao_cao_sum bound is {SUM_BOUND}, got {n}")
-    _check_char_modulus(n, chi, "zhao_cao_sum")
     group = character_group(n)
     return _finish(group.char_sum(chi, zhao_cao_weights(n)))
 
@@ -141,7 +135,6 @@ def generalized_sum(n: int, s: int, chi: DirichletCharacter) -> SumResult:
         raise DomainError(f"s must be >= 1, got {s}")
     if n > SUM_BOUND:
         raise ResourceError(f"generalized_sum bound is {SUM_BOUND}, got {n}")
-    _check_char_modulus(n, chi, "generalized_sum")
     group = character_group(n)
     return _finish(group.char_sum(chi, generalized_weights(n, s)))
 
@@ -175,7 +168,6 @@ def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) 
     q = p**n_exp
     if q > MODULUS_BOUND:
         raise ResourceError(f"p**n_exp = {q} exceeds bound {MODULUS_BOUND}")
-    _check_char_modulus(q, chi, "char_shift_sum")
     return _finish(character_group(q).char_sum(chi, char_shift_weights(p, n_exp, s, m)))
 
 

@@ -148,6 +148,16 @@ class TestEvaluation:
             eval_character(DirichletCharacter(12, ((12, (0,)),)), 1)
         with pytest.raises(DomainError):
             eval_character(DirichletCharacter(9, ((9, (7,)),)), 1)  # index out of range
+        # Each is refused when it is made, before any evaluator sees it.
+        for n, components in (
+            (12, ((4, (3,)), (3, (1,)))),  # index 3 out of range [0, 2)
+            (12, ((4, (-1,)), (3, (1,)))),  # negative index
+            (12, ((3, (1,)), (4, (1,)))),  # prime powers out of order
+            (12, ((12, (1, 0)),)),  # one component for two prime powers
+            (8, ((8, (1,)),)),  # 8 has two generators
+        ):
+            with pytest.raises(DomainError):
+                DirichletCharacter(n, components)
 
     def test_validation_cache_keeps_errors_and_takes_unhashable_characters(self):
         for _ in range(2):  # nothing is cached for an invalid character

@@ -110,6 +110,8 @@ class TestZhaoCao:
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):
             zhao_cao_sum(8, principal_character(4))
+        with pytest.raises(DomainError):
+            generalized_sum(8, 2, principal_character(4))
 
 
 class TestGeneralizedSum:
