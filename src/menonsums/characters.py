@@ -8,22 +8,23 @@ fractions of a full turn; conversion to floating complex happens only when
 sums are accumulated.
 
 A ``DirichletCharacter(n, components)`` is checked once, when it is made:
-its components are the prime powers of n in ascending order, each with one
-index in [0, order) per generator of its unit group, or it raises
-``DomainError``; no evaluator checks a character's shape again.
+n is at most ``MODULUS_BOUND`` (or it raises ``ResourceError``), and its
+components are the prime powers of n in ascending order, each with one index
+in [0, order) per generator of its unit group, or it raises ``DomainError``;
+no evaluator checks a character's shape or modulus again.
 
 The character group mod n is the product of the groups mod its prime
 powers, so the generators that ``unit_group_structure(p, a)`` gives are the
 single source of every character fact.  Enumeration order, labels, flat
 indices and conductors mod n are combined from them by CRT.
 
-``CharacterGroup`` keeps one table, built forward from the generators:
-the unit at each point of the grid of generator exponents.  Sweeps scatter
-a character's grid values to those units, and the sums of all phi(n)
-characters against a common weight vector come out of one multidimensional
-DFT of the weights gathered there.  No dlog is read on that path: a
-structure's ``dlog_table`` is built on first read, and only the scalar
-evaluator ``eval_character`` and the tests read it.
+``CharacterGroup`` keeps one residue table, built forward from the
+generators: the unit at each point of the grid of generator exponents.  A
+character's grid turns are scattered to those units (-1 at the rest), and
+the sums of all phi(n) characters against a common weight vector come out of
+one multidimensional DFT of the weights gathered there.  No dlog is read on
+either path: a structure's ``dlog_table`` is built on first read, and only
+the scalar evaluator ``eval_character`` and the tests read it.
 """
 
 from __future__ import annotations
@@ -119,13 +120,16 @@ class DirichletCharacter:
     entry i of an index vector is the exponent applied to generator i of
     that prime power's unit group, in [0, its order).  All-zero vectors give
     the principal character.  A character of any other shape raises
-    ``DomainError`` when it is made.
+    ``DomainError`` when it is made, and a modulus above ``MODULUS_BOUND``
+    raises ``ResourceError``.
     """
 
     modulus: int
     components: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if self.modulus > MODULUS_BOUND:
+            raise ResourceError(f"modulus {self.modulus} exceeds bound {MODULUS_BOUND}")
         # Kept as tuples, so that the character stays as it was checked.
         object.__setattr__(self, "components", tuple((q, tuple(idx)) for q, idx in self.components))
         fac = factorize(self.modulus)
@@ -194,10 +198,7 @@ def _component_structures(chi: DirichletCharacter) -> list[tuple[int, tuple[int,
 
 def principal_character(n: int) -> DirichletCharacter:
     """The character that is 1 on every argument coprime to n."""
-    comps = []
-    for p, e in factorize(n).factors:
-        st = unit_group_structure(p, e)
-        comps.append((p**e, (0,) * len(st.generators)))
+    comps = ((p**e, (0,) * len(unit_group_structure(p, e).generators)) for p, e in factorize(n).factors)
     return DirichletCharacter(n, tuple(comps))
 
 
@@ -290,9 +291,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     d = conductor(chi)
     if d == 1:
         return DirichletCharacter(1, ())
-    by_prime = {}
-    for q, idx, st in _component_structures(chi):
-        by_prime[st.prime] = DirichletCharacter(q, ((q, idx),))
+    by_prime = {st.prime: DirichletCharacter(q, ((q, idx),)) for q, idx, st in _component_structures(chi)}
     comps = []
     for p, c in factorize(d).factors:
         source = by_prime[p]
@@ -307,8 +306,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
                 )
             idx.append(int(w) % order)
         comps.append((p**c, tuple(idx)))
-    psi = DirichletCharacter(d, tuple(comps))
-    return psi
+    return DirichletCharacter(d, tuple(comps))
 
 
 def character_order(chi: DirichletCharacter) -> int:
@@ -353,13 +351,6 @@ def character_labels(n: int) -> list[str]:
 # vectorized per-modulus engine
 
 
-@lru_cache(maxsize=64)
-def _roots_of_unity(order: int) -> np.ndarray:
-    r = np.exp(2j * np.pi * np.arange(order) / order)
-    r.setflags(write=False)
-    return r
-
-
 def _index_conductors(st: UnitGroupStructure, v: tuple[int, ...] | np.ndarray) -> np.ndarray:
     """Conductors of the characters of p**a whose index vectors are ``v``
     (one tuple, or an array whose axis 0 runs over the generators).
@@ -381,7 +372,8 @@ class CharacterGroup:
     ``units[j]`` is the unit mod n at flat position j of the grid ``orders``
     of all generators of the prime powers of n, one outer product of powers
     per generator g of p**a, lifted by CRT to g mod p**a and 1 mod n / p**a.
-    Per-character vectors are scattered to it; ``all_sums`` gathers by it."""
+    Per-character vectors are scattered to it; ``all_sums`` gathers by it.
+    The roots of unity ``_roots`` are built on the first per-character call."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -399,8 +391,6 @@ class CharacterGroup:
             lift = n // st.modulus * pow(n // st.modulus, -1, st.modulus)  # 1 mod p**a, 0 mod the rest
             for g, order in st.generators:
                 self.units = (self.units[:, None] * kernels.powers((1 + (g - 1) * lift) % n, order, n) % n).ravel()
-        self.coprime = np.zeros(n, dtype=bool)
-        self.coprime[self.units] = True
 
     # -- per-character paths ------------------------------------------------
 
@@ -420,14 +410,22 @@ class CharacterGroup:
         out[self.units] = turns % L
         return out
 
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        r = np.exp(2j * np.pi * np.arange(self.order_lcm) / self.order_lcm)
+        r.setflags(write=False)
+        return r
+
     def char_sum(self, chi: DirichletCharacter, weights: np.ndarray) -> complex:
-        """sum over k in [0, n) of weights[k] * chi(k)."""
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        return complex(np.sum(w[self.coprime] * self.char_values(chi)[self.coprime]))
+        """sum over k in [0, n) of weights[k] * chi(k), over the units in ascending k."""
+        t = self.turn_numerators(chi)
+        units = t >= 0
+        return complex(np.sum(np.asarray(weights, dtype=np.float64)[units] * self._roots[t[units]]))
 
     def char_values(self, chi: DirichletCharacter) -> np.ndarray:
         """Complex vector of chi(k) for k in [0, n), zeros at non-units."""
-        return np.where(self.coprime, _roots_of_unity(self.order_lcm)[self.turn_numerators(chi)], 0)
+        t = self.turn_numerators(chi)
+        return np.where(t >= 0, self._roots[t], 0)
 
     # -- whole-group paths ----------------------------------------------------
 

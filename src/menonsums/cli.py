@@ -16,13 +16,13 @@ worker died, or memory ran out).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
 import json
 import math
 import os
 import stat
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable, ContextManager, Iterator
 
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 1
-    except (BrokenProcessPool, MemoryError) as exc:
+    except (concurrent.futures.BrokenExecutor, MemoryError) as exc:
         print(f"error: run cut short: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

@@ -27,12 +27,12 @@ text at any parallelism; JSON differs only in the echoed config.parallelism.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import json
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from itertools import islice, repeat
@@ -414,7 +414,8 @@ def _pooled(task: Callable, jobs: list[tuple], workers: int) -> Iterator:
     this process stay a few chunks' worth however slowly they are read."""
     size = max(1, len(jobs) // (workers * 32))
     chunks = (jobs[a : a + size] for a in range(0, len(jobs), size))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Read here, not imported at the top: a serial run never loads multiprocessing.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(_run_chunk, task, chunk) for chunk in islice(chunks, 2 * workers))
         try:
             while pending:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .arith import is_prime, klee_phi, power_divisors, sgcd_table
-from .characters import MODULUS_BOUND, CharValue, DirichletCharacter, character_group
+from .characters import CharValue, DirichletCharacter, character_group
 from .errors import DomainError, IntegrityError, ResourceError
 
 #: Largest modulus accepted by the character-sum evaluators.
@@ -165,10 +165,8 @@ def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) 
         raise DomainError(f"n_exp={n_exp} and m={m} must be multiples of s={s}")
     if not s <= m < n_exp:
         raise DomainError(f"need s <= m < n_exp, got s={s}, m={m}, n_exp={n_exp}")
-    q = p**n_exp
-    if q > MODULUS_BOUND:
-        raise ResourceError(f"p**n_exp = {q} exceeds bound {MODULUS_BOUND}")
-    return _finish(character_group(q).char_sum(chi, char_shift_weights(p, n_exp, s, m)))
+    # character_group refuses p**n_exp above MODULUS_BOUND before any weight is built.
+    return _finish(character_group(p**n_exp).char_sum(chi, char_shift_weights(p, n_exp, s, m)))
 
 
 def cohen_partition_stats(n: int, s: int, d: int) -> tuple[bool, int, int]:

@@ -12,13 +12,13 @@ import numpy as np
 def menon_gcd_sum(n: int) -> int:
     """sum of gcd(k-1, n) over 1 <= k <= n with gcd(k, n) = 1.
 
-    w[j] = gcd(j, n) is the s = 1 case of ``sgcd_weights``.  Its ascending
-    divisors are the j <= sqrt(n) that divide n and their cofactors, not a
-    factorization of n, so this lhs shares nothing with the phi(n) * tau(n)
-    it is checked against.  A k < n is a unit exactly where w[k] == 1 and
-    adds w[k-1], so the sum is one integer dot of w[:-1] with the mask of
-    w[1:]; k = n is a unit only at n = 1, where it adds gcd(0, 1) = 1.  No
-    array is rolled or gathered.  einsum casts the mask to int32 in small
+    w[j] = gcd(j, n) is the s = 1 case of ``sgcd_weights``, which starts w
+    at 1, so the divisors it writes are the 1 < j <= sqrt(n) that divide n,
+    their cofactors and n (none at n = 1): not a factorization of n, so this
+    lhs shares nothing with the phi(n) * tau(n) it is checked against.  A
+    k < n is a unit exactly where w[k] == 1 and adds w[k-1], so the sum is
+    one integer dot of w[:-1] with the mask of w[1:]; k = n is a unit only
+    at n = 1, where it adds gcd(0, 1) = 1.  No array is rolled or gathered.  einsum casts the mask to int32 in small
     buffered blocks; ``@`` would cast it whole into a second n-entry array,
     and with two of them live, malloc returns the freed heap top to the
     system after each n and faults it back in at the next (about 150 page
@@ -28,14 +28,14 @@ def menon_gcd_sum(n: int) -> int:
     n up to ``identities.SUM_BOUND`` = 10**5.
     """
     # A trial scan in Python: at most 316 steps for n <= SUM_BOUND, cheaper than six numpy calls.
-    small = [j for j in range(1, math.isqrt(n) + 1) if n % j == 0]
-    w = sgcd_weights(n, small + [n // j for j in reversed(small) if j * j < n])
+    small = [j for j in range(2, math.isqrt(n) + 1) if n % j == 0]
+    w = sgcd_weights(n, small + [n // j for j in reversed(small) if j * j < n] + [n] * (n > 1))
     return int(np.einsum("i,i->", w[:-1], w[1:] == 1)) + (n == 1)
 
 
 def sgcd_weights(n: int, power_divisors: list[int]) -> np.ndarray:
     """w[j] = (j, n)_s for 0 <= j < n, in int32, given the ascending l**s
-    divisors of n as a list of ints.
+    divisors of n as a list of ints (1 may be left out).
 
     One slice write per divisor: ascending order makes the last write per
     slot the largest divisor, which is exactly the generalized gcd.  w[0]

@@ -198,7 +198,7 @@ class TestConductor:
         for p, a in [(p, a) for p in primes_upto(4096) for a in range(1 if p <= 1024 else 2, 13) if p**a <= 4096]:
             q = p**a
             group = CharacterGroup(q)
-            units = np.flatnonzero(group.coprime)
+            units = np.sort(group.units)
             strides = [math.prod(group.orders[i + 1 :]) for i in range(len(group.orders))]
             basis = [group.turn_numerators(group.character(flat))[units] for flat in strides]
             basis = np.array(basis).reshape(len(strides), units.size)
@@ -376,8 +376,8 @@ class TestBulkEngine:
     def test_units_match_gcd_and_dlog_rows(self):
         for n in [*range(1, 2001), 36960, 360360, 720720, 2**16, 2**20 - 1]:
             group = CharacterGroup(n)
-            assert group.coprime.tolist() == [math.gcd(k, n) == 1 for k in range(n)], n
-            assert sorted(group.units.tolist()) == np.flatnonzero(group.coprime).tolist(), n
+            assert sorted(group.units.tolist()) == [k for k in range(n) if math.gcd(k, n) == 1], n
+            assert np.array_equal(np.flatnonzero(group.turn_numerators(group.character(0)) >= 0), np.sort(group.units)), n
             rows = [st.dlog_table[group.units % st.modulus] for st in group.structures]
             axes = np.concatenate([np.zeros((group.phi, 0), dtype=np.int32), *rows], axis=1).T
             flat = np.ravel_multi_index(tuple(axes), group.orders) if group.orders else [0]

@@ -1,5 +1,6 @@
 """Sweep harness: grids, reports, serialization, CLI, exit codes."""
 
+import concurrent.futures
 import contextlib
 import errno
 import functools
@@ -308,7 +309,7 @@ class TestDeterminismAndParallelism:
             assert format_report(sweep, fmt) == format_report(search, fmt)
 
     def test_worker_pool_is_capped(self, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         SerialPool.sizes.clear()
         capped = run_sweep(SweepConfig(identity="zhao_cao", n_max=30, parallelism=10**6))
@@ -323,7 +324,7 @@ class TestDeterminismAndParallelism:
     def test_pool_runs_a_few_chunks_ahead_of_the_reader(self, monkeypatch):
         # However slowly results are read, at most 2*workers chunks wait
         # beyond the one being read, each of len(jobs) // (32 * workers) jobs.
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         SerialPool.submitted.clear()
         read = []
         for result in harness._pooled(str, list(range(1000)), 2):
@@ -939,6 +940,15 @@ class TestBackendSelection:
         assert proc.returncode == 0
         assert b"strict_gen,4,2" in proc.stdout
         assert proc.stdout == format_report(reproduce_remark(), "csv")
+
+
+class TestSerialImports:
+    def test_cli_import_loads_no_process_pool_code(self):
+        # Only a pooled run reads concurrent.futures.ProcessPoolExecutor, which loads multiprocessing.
+        code = "import sys, menonsums.cli; "
+        code += "print(sorted({'multiprocessing', 'concurrent.futures.process'} & {*sys.modules}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestBlasThreads:

@@ -14,6 +14,7 @@ from menonsums import (
     ResourceError,
     char_shift_sum,
     character_group,
+    character_labels,
     cohen_partition_check,
     conductor,
     divisor_tau,
@@ -34,6 +35,7 @@ from menonsums import (
     zhao_cao_sum,
 )
 from menonsums import kernels
+from menonsums.characters import CharacterGroup
 from menonsums.identities import SUM_BOUND, cohen_partition_stats, generalized_weights, zhao_cao_weights
 
 
@@ -218,6 +220,48 @@ class TestCharShiftSum:
             char_shift_sum(2, 3, 2, 2, chi)  # n_exp not a multiple of s
         with pytest.raises(DomainError):
             char_shift_sum(2, 4, 2, 2, principal_character(8))  # modulus mismatch
+
+
+# Each entry point just past its bound, with the refusal it must give at once.
+_PAST_BOUNDS = {
+    "unit_group_structure": (lambda: unit_group_structure(2, 21), ResourceError, "prime power 2097152 exceeds bound 1048576"),
+    "enumerate_characters_low": (lambda: enumerate_characters(0), DomainError, "factorize requires n >= 1, got 0"),
+    "enumerate_characters_high": (
+        lambda: enumerate_characters(2**20 + 1),
+        ResourceError,
+        "modulus 1048577 exceeds bound 1048576",
+    ),
+    "character_labels_low": (lambda: character_labels(0), DomainError, "factorize requires n >= 1, got 0"),
+    "character_labels_high": (lambda: character_labels(2**20 + 1), ResourceError, "modulus 1048577 exceeds bound 1048576"),
+    "group_low": (lambda: CharacterGroup(0), DomainError, "modulus must be >= 1, got 0"),
+    "group_high": (lambda: CharacterGroup(2**20 + 1), ResourceError, "modulus 1048577 exceeds bound 1048576"),
+    "principal_character": (lambda: principal_character(3 * 2**20), ResourceError, "modulus 3145728 exceeds bound 1048576"),
+    "char_shift_sum": (
+        lambda: char_shift_sum(2, 21, 1, 1, principal_character(4)),
+        ResourceError,
+        "modulus 2097152 exceeds bound 1048576",
+    ),
+    "zhao_cao_sum": (
+        lambda: zhao_cao_sum(SUM_BOUND + 1, principal_character(1)),
+        ResourceError,
+        "zhao_cao_sum bound is 100000, got 100001",
+    ),
+    "generalized_sum": (
+        lambda: generalized_sum(SUM_BOUND + 1, 2, principal_character(1)),
+        ResourceError,
+        "generalized_sum bound is 100000, got 100001",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PAST_BOUNDS)
+def test_refused_just_past_its_bound(case):
+    call, error, message = _PAST_BOUNDS[case]
+    start = time.perf_counter()
+    with pytest.raises(error) as info:
+        call()
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == message
 
 
 class TestCohenPartition:
