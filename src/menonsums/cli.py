@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 when all expectations are met (the remark's failure and
 search findings count as expected), 1 on an unexpected identity violation,
-2 on usage or configuration errors, 3 when a run is cut short (a pool
-worker died, or memory ran out).
+2 on usage or configuration errors or an output not written (a file, or a
+stdout pipe its reader closed), 3 when a run is cut short (a pool worker
+died, or memory ran out).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .harness import (
     SweepConfig,
     format_report,
     reproduce_remark,
-    search_config,
     write_report,
 )
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subs.add_parser("search", help="search for strict-generalization failures")
     _add_report_flags(search)
-    search.set_defaults(n_max=_SPECS[STRICT_GEN].default_n_max, s="2")
+    search.set_defaults(identity=STRICT_GEN, s="2")
 
     table = subs.add_parser("char-table", help="dump the character table of a modulus")
     table.add_argument("n", type=int)
@@ -90,12 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _blamed(output: str) -> Iterator[None]:
-    """Report an OSError as the file output not written."""
+def _blamed(output: str | None) -> Iterator[None]:
+    """Report an OSError as the output, a file or stdout (None), not written.
+    Stdout's descriptor then goes to the null device, so the interpreter's own
+    flush at exit has nowhere to fail (a reader that closed the pipe, say)."""
     try:
         yield
     except OSError as exc:
-        raise DomainError(f"cannot write {output}: {exc.strerror}") from exc
+        if output is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DomainError(f"cannot write {'<stdout>' if output is None else output}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager
@@ -106,22 +112,24 @@ def _opened(output: str | None) -> Iterator[Callable[[bytes], object]]:
     A regular file (or a new one) is written through a temporary file beside
     it that replaces it, mode kept, only once the whole report is written,
     so a run that fails leaves it as it was; a device or pipe is written in
-    place.  An OSError from opening, writing, closing or replacing the file
-    names output as the file not written; an error raised between writes
-    passes through as it was raised.
+    place.  An OSError from writing or flushing stdout, or from opening,
+    writing, closing or replacing the file, names the output not written; an
+    error raised between writes passes through as it was raised.
     """
-    if output is None:
-        yield sys.stdout.buffer.write
-        sys.stdout.buffer.flush()
-        return
-    path = os.path.realpath(output)  # through a symlink, replace its target
-    staged = not os.path.exists(path) or os.path.isfile(path)
-    tmp = f"{path}.{os.getpid()}.tmp" if staged else path
 
     def write(payload: bytes) -> None:
         with _blamed(output):
             fh.write(payload)
 
+    if output is None:
+        fh = sys.stdout.buffer
+        yield write
+        with _blamed(output):
+            fh.flush()
+        return
+    path = os.path.realpath(output)  # through a symlink, replace its target
+    staged = not os.path.exists(path) or os.path.isfile(path)
+    tmp = f"{path}.{os.getpid()}.tmp" if staged else path
     try:
         with _blamed(output):
             fh = open(tmp, "wb")
@@ -201,18 +209,9 @@ def main(argv=None) -> int:
         if args.command == "remark":
             _emit(format_report(reproduce_remark(), args.format), args.output)
             return 0
-        if args.command == "verify":
-            n_max = args.n_max if args.n_max is not None else _SPECS[args.identity].default_n_max
-            config = SweepConfig(
-                identity=args.identity,
-                n_max=n_max,
-                s_values=_parse_s_values(args.s),
-                tolerance=args.tolerance,
-                output=args.format,
-                parallelism=args.jobs,
-            )
-        else:
-            config = search_config(args.n_max, _parse_s_values(args.s), args.tolerance, args.jobs)
+        n_max = args.n_max if args.n_max is not None else _SPECS[args.identity].default_n_max
+        output = args.format if args.command == "verify" else "text"  # a search echoes "text": FOUND in CHANGES.md
+        config = SweepConfig(args.identity, n_max, _parse_s_values(args.s), args.tolerance, output, args.jobs)
         summary = write_report(config, args.format, partial(_opened, args.output))
         return 1 if args.command == "verify" and summary["fail"] > 0 else 0
     except (DomainError, ResourceError) as exc:

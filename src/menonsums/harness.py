@@ -91,14 +91,11 @@ class SweepRecord(NamedTuple):
 
 
 class IdentityReport:
-    """Result of a sweep: per job, in grid order, the columns (params, lhs,
+    """A sweep's config and, per job in grid order, the columns (params, lhs,
     residual, rhs, status) that _run_job returns; one row per grid instance."""
 
     def __init__(self, config, jobs):
-        self.config = config
-        self.identity = config.identity
-        self.param_fields = _SPECS[config.identity].fields
-        self.jobs = jobs
+        self.config, self.jobs = config, jobs
 
     def __len__(self) -> int:
         return sum(job[-1].size for job in self.jobs)
@@ -113,13 +110,14 @@ class IdentityReport:
 
     @property
     def records(self) -> list[SweepRecord]:
-        records = []
+        identity = self.config.identity
+        fields, records = _SPECS[identity].fields, []
         for job in self.jobs:
-            labels = _labels(self.param_fields, job)
+            labels = _labels(fields, job)
             for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
                 cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
-                params, chi = dict(zip(self.param_fields, row)), labels and labels[row[-1]]
-                records.append(SweepRecord(self.identity, params, chi, *cells, STATUS_NAMES[code]))
+                params, chi = dict(zip(fields, row)), labels and labels[row[-1]]
+                records.append(SweepRecord(identity, params, chi, *cells, STATUS_NAMES[code]))
         return records
 
 
@@ -217,8 +215,11 @@ class IdentitySpec(NamedTuple):
     (k-1, n)_s, against every character of the modulus n (or p**n_exp) and
     compares each sum with its one claim per conductor d, rhs(d, *head); a
     claim of None lies outside the identity's hypothesis, and its characters
-    are reported skipped, or left out when drop is set.  Evaluators are
-    looked up when a job runs, so a wrapped module attribute is what runs.
+    are reported skipped, or left out when drop is set.  The default weights
+    and the menon and sury checks (each a sum against its rhs) are lambdas
+    that look generalized_weights, menon_sum and sury_sum up when a job runs,
+    so a wrapped module attribute (a tracer's span) is what runs; every other
+    check and weights is named directly.
     """
 
     fields: tuple[str, ...]
@@ -262,14 +263,14 @@ _SPECS: dict[str, IdentitySpec] = {
     "lemma31": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
-        weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
+        weights=char_shift_weights,
         rhs=lambda d, p, n_exp, s, m: (-1 if m == n_exp - s else 0) if d == p**n_exp else None,
         drop=True,
     ),
     "lemma33": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
         _lemma_grid,
-        weights=lambda p, n_exp, s, m: char_shift_weights(p, n_exp, s, m),
+        weights=char_shift_weights,
         rhs=_lemma33_rhs,
     ),
     # At n = p**a and conductor d = p**(r*s), tau_s(n/d) is Lemma 3.4's a/s - r + 1.
@@ -281,7 +282,7 @@ _SPECS: dict[str, IdentitySpec] = {
     "cohen_partition": IdentitySpec(
         ("n", "s", "d"), PARTITION_BOUND, 200,
         _batch_grid,
-        check=lambda n, s, d: cohen_partition_stats(n, s, d),
+        check=cohen_partition_stats,
         points=lambda n, s: [(d,) for d in power_divisors(n, s)],
     ),
     STRICT_GEN: IdentitySpec(
@@ -480,11 +481,6 @@ def reproduce_remark() -> IdentityReport:
     return IdentityReport(config, [job])
 
 
-def search_config(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> SweepConfig:
-    """The config of the counterexample search: the strict_gen sweep."""
-    return SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism)
-
-
 def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parallelism: int = 1) -> IdentityReport:
     """Test the falsified identity sum = Phi_s(n) * tau_s(n/d) over every
     modulus n <= n_max and every character, with no shape restriction: the
@@ -493,7 +489,7 @@ def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parall
     Failing records are the findings; they are expected and do not signal
     an implementation problem.
     """
-    return run_sweep(search_config(n_max, s_values, tolerance, parallelism))
+    return run_sweep(SweepConfig(STRICT_GEN, n_max, tuple(s_values), tolerance, parallelism=parallelism))
 
 
 # ---------------------------------------------------------------------------

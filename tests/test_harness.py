@@ -42,7 +42,7 @@ from menonsums import (
 from menonsums import cli, harness
 from menonsums.harness import IDENTITIES, STATUS_NAMES, STRICT_GEN, SweepConfig
 from menonsums.characters import CharacterGroup, character_group, character_labels
-from menonsums.cli import build_parser, char_table_bytes, main
+from menonsums.cli import char_table_bytes, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -150,11 +150,14 @@ class TestSweepContents:
             "sury": [{"n": 12, "s": 1}, {"n": 12, "s": 2}],
             "cohen_partition": [{"n": 12, "s": 1, "d": 4}, {"n": 12, "s": 2, "d": 4}],
         }[identity]
-        menon, sury, cohen = harness.menon_sum, harness.sury_sum, harness.cohen_partition_stats
+        menon, sury, cohen = harness.menon_sum, harness.sury_sum, harness._SPECS["cohen_partition"]
         monkeypatch.setattr(harness, "menon_sum", lambda n: menon(n) + (n == 12))
         monkeypatch.setattr(harness, "sury_sum", lambda n, s: sury(n, s) + (n == 12))
-        monkeypatch.setattr(
-            harness, "cohen_partition_stats", lambda n, s, d: (False, 0, 1) if (n, d) == (12, 4) else cohen(n, s, d)
+        # cohen_partition names its check directly, so its spec row carries the wrong one.
+        monkeypatch.setitem(
+            harness._SPECS,
+            "cohen_partition",
+            cohen._replace(check=lambda n, s, d: (False, 0, 1) if (n, d) == (12, 4) else cohen.check(n, s, d)),
         )
         report = run_sweep(SweepConfig(identity=identity, n_max=20, s_values=(1, 2)))
         assert [r.params for r in report.records if r.status == "fail"] == failing
@@ -726,9 +729,35 @@ class TestCli:
         assert main(["verify", "menon", "--n-max", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_search_defaults(self):
-        args = build_parser().parse_args(["search"])
-        assert (args.n_max, args.s) == (36, "2")
+    @staticmethod
+    def _config(argv, monkeypatch) -> SweepConfig:
+        """The config main builds from argv, caught where it reaches write_report."""
+
+        class Ran(Exception):
+            pass
+
+        def capture(config, fmt, open_out):
+            raise Ran(config)
+
+        monkeypatch.setattr(cli, "write_report", capture)
+        with pytest.raises(Ran) as ran:
+            main(argv)
+        return ran.value.args[0]
+
+    def test_search_defaults(self, monkeypatch):
+        assert self._config(["search"], monkeypatch) == SweepConfig(STRICT_GEN, 36, (2,))
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            # search echoes output "text" whatever its --format (a FOUND defect in CHANGES.md)
+            (["search", "--format", "json"], SweepConfig("strict_gen", 36, (2,), 1e-6, "text", 1)),
+            (["verify", "theorem2", "--format", "json", "--jobs", "2"], SweepConfig("theorem2", 512, (1,), 1e-6, "json", 2)),
+        ],
+        ids=["search", "verify"],
+    )
+    def test_configs_main_builds(self, argv, config, monkeypatch):
+        assert self._config(argv, monkeypatch) == config
 
     @pytest.mark.parametrize("identity", IDENTITIES)
     def test_verify_default_n_max(self, identity, monkeypatch):
@@ -743,17 +772,7 @@ class TestCli:
             "lemma34": 1024,
             "cohen_partition": 200,
         }
-
-        class Ran(Exception):
-            pass
-
-        def capture(config, fmt, open_out):
-            raise Ran(config)
-
-        monkeypatch.setattr(cli, "write_report", capture)
-        with pytest.raises(Ran) as ran:
-            main(["verify", identity])
-        assert ran.value.args[0].n_max == pinned[identity]
+        assert self._config(["verify", identity], monkeypatch).n_max == pinned[identity]
 
     @pytest.mark.parametrize(
         "identity, modulus, chi",
@@ -848,6 +867,31 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "zhao_cao", "--n-max", "200", "--format", "csv", "--jobs", "1"],
+            ["verify", "zhao_cao", "--n-max", "200", "--format", "csv", "--jobs", "2"],
+            ["char-table", "211"],
+        ],
+        ids=" ".join,
+    )
+    def test_closed_stdout_pipe_exit_two(self, command):
+        # As under `| head -1`: the reader closes the pipe after the first line,
+        # with hundreds of KB still to come.  That is stdout not written, not an
+        # identity failure, and nothing more is reported at interpreter exit,
+        # where a buffered stdout (so no PYTHONUNBUFFERED) is flushed once more.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "menonsums", *command], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write <stdout>: Broken pipe\n"
 
     def test_char_table_cli(self, capsys):
         assert main(["char-table", "9", "--format", "json"]) == 0

@@ -24,19 +24,22 @@ from menonsums import (
     gen_gcd,
     is_primitive,
     klee_phi,
+    klee_phi_bruteforce,
     menon_sum,
     power_divisors,
     principal_character,
     round_exact,
+    s_power_part,
     sigma,
     sury_sum,
     tau_s,
     unit_group_structure,
     zhao_cao_sum,
 )
-from menonsums import kernels
+from menonsums import cli, kernels
+from menonsums.arith import sgcd_table
 from menonsums.characters import CharacterGroup
-from menonsums.identities import SUM_BOUND, cohen_partition_stats, generalized_weights, zhao_cao_weights
+from menonsums.identities import SUM_BOUND, TERM_BOUND, cohen_partition_stats, generalized_weights, zhao_cao_weights
 
 
 class TestMenon:
@@ -261,6 +264,43 @@ def test_refused_just_past_its_bound(case):
     with pytest.raises(error) as info:
         call()
     assert time.perf_counter() - start < 0.5
+    assert str(info.value) == message
+
+
+# Each argument refusal that no sweep or other test reaches, with its exact message.
+_REFUSED = {
+    "power_divisors": (lambda: power_divisors(12, 0), DomainError, "s must be >= 1, got 0"),
+    "s_power_part_s": (lambda: s_power_part(12, 0), DomainError, "s must be >= 1, got 0"),
+    "s_power_part_n": (lambda: s_power_part(0, 1), DomainError, "n must be >= 1, got 0"),
+    "klee_phi": (lambda: klee_phi(12, 0), DomainError, "s must be >= 1, got 0"),
+    "klee_phi_bruteforce": (lambda: klee_phi_bruteforce(12, 0), DomainError, "s must be >= 1, got 0"),
+    "tau_s": (lambda: tau_s(12, 0), DomainError, "s must be >= 1, got 0"),
+    "sigma": (lambda: sigma(12, -1), DomainError, "sigma exponent must be >= 0, got -1"),
+    "sgcd_table": (lambda: sgcd_table(0, 1), DomainError, "n must be >= 1, got 0"),
+    "sury_sum_n": (lambda: sury_sum(0, 1), DomainError, "n must be >= 1, got 0"),
+    "sury_sum_s": (lambda: sury_sum(5, 0), DomainError, "s_vars must be >= 1, got 0"),
+    "zhao_cao_sum": (lambda: zhao_cao_sum(0, principal_character(1)), DomainError, "n must be >= 1, got 0"),
+    "generalized_sum_n": (lambda: generalized_sum(0, 1, principal_character(1)), DomainError, "n must be >= 1, got 0"),
+    "generalized_sum_s": (lambda: generalized_sum(1, 0, principal_character(1)), DomainError, "s must be >= 1, got 0"),
+    "char_shift_sum": (lambda: char_shift_sum(3, 2, 0, 1, principal_character(9)), DomainError, "s must be >= 1, got 0"),
+    "cohen_partition_n": (lambda: cohen_partition_check(0, 1, 1), DomainError, "n must be >= 1, got 0"),
+    "cohen_partition_s": (lambda: cohen_partition_check(4, 0, 1), DomainError, "s must be >= 1, got 0"),
+    "round_exact": (
+        lambda: round_exact(0j for _ in range(TERM_BOUND + 1)),
+        ResourceError,
+        f"round_exact accepts at most {TERM_BOUND} terms",
+    ),
+    "unit_group_structure": (lambda: unit_group_structure(3, 0), DomainError, "exponent must be >= 1, got 0"),
+    "parse_s_values_int": (lambda: cli._parse_s_values("a"), DomainError, "--s expects comma-separated integers, got 'a'"),
+    "parse_s_values_empty": (lambda: cli._parse_s_values(","), DomainError, "--s expects at least one integer, got ','"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED)
+def test_refused_argument(case):
+    call, error, message = _REFUSED[case]
+    with pytest.raises(error) as info:
+        call()
     assert str(info.value) == message
 
 

@@ -35,7 +35,7 @@ import pytest
 from menonsums import format_report, reproduce_remark, run_sweep, search_counterexamples
 from menonsums import harness
 from menonsums.cli import char_table_bytes
-from menonsums.harness import FORMATS, IDENTITIES, IdentityReport, SweepConfig, search_config, write_report
+from menonsums.harness import FORMATS, IDENTITIES, STRICT_GEN, IdentityReport, SweepConfig, write_report
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
 
@@ -63,7 +63,7 @@ def _reports():
     empty = SweepConfig(identity="theorem2", n_max=3, s_values=(2,))
     yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS, empty
     yield "remark", reproduce_remark, FORMATS, None
-    search = search_config(36, (2,))
+    search = SweepConfig(STRICT_GEN, 36, (2,))
     yield "search-n36-s2", (lambda: search_counterexamples(36, (2,))), FORMATS, search
     yield "edge-values", _edge_report, FORMATS, None
     jobs2 = SweepConfig(identity="theorem2", n_max=64, s_values=(1, 2), parallelism=2)
