@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceError
+from .errors import DomainError, refuse_above, refuse_below
 
 #: Largest integer the trial-division factorizer accepts.
 FACTOR_BOUND = 10**7
@@ -47,8 +47,7 @@ def factorize(n: int) -> Factorization:
     """Factor 1 <= n <= FACTOR_BOUND by trial division (2, 3, then 6k+-1)."""
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    if n > FACTOR_BOUND:
-        raise ResourceError(f"factorize bound is {FACTOR_BOUND}, got {n}")
+    refuse_above(n, FACTOR_BOUND, "factorize")
     m = n
     factors = []
     for p in (2, 3):
@@ -95,8 +94,7 @@ def primes_upto(n: int) -> list[int]:
 
 def power_divisors(n: int, s: int) -> list[int]:
     """Ascending list of the divisors of n that are exact s-th powers."""
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    refuse_below(s, 1, "s")
     fac = factorize(n)
     divs = [1]
     for p, e in fac.factors:
@@ -106,11 +104,9 @@ def power_divisors(n: int, s: int) -> list[int]:
 
 def s_power_part(n: int, s: int) -> int:
     """Largest s-th-power divisor of n >= 1: product of p**(e - e % s)."""
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    refuse_below(s, 1, "s")
     if s == 1:
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
+        refuse_below(n, 1, "n")
         return n
     return math.prod(p ** (e - e % s) for p, e in factorize(n).factors)
 
@@ -137,8 +133,7 @@ def klee_phi(n: int, s: int) -> int:
     and p**a otherwise.  klee_phi_bruteforce counts the set directly and
     guards this closed form.
     """
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    refuse_below(s, 1, "s")
     out = 1
     for p, e in factorize(n).factors:
         pe = p**e
@@ -148,19 +143,15 @@ def klee_phi(n: int, s: int) -> int:
 
 def klee_phi_bruteforce(n: int, s: int) -> int:
     """Phi_s(n) by direct count of m with (m, n)_s = 1; oracle for klee_phi."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
-    if n > BRUTE_BOUND:
-        raise ResourceError(f"brute-force bound is {BRUTE_BOUND}, got {n}")
+    refuse_below(n, 1, "n")
+    refuse_below(s, 1, "s")
+    refuse_above(n, BRUTE_BOUND, "brute-force")
     return int(kernels.klee_brute_count(n, s))
 
 
 def tau_s(n: int, s: int) -> int:
     """Number of s-th powers dividing n: product of (floor(e/s) + 1)."""
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    refuse_below(s, 1, "s")
     return math.prod(e // s + 1 for _, e in factorize(n).factors)
 
 
@@ -181,13 +172,11 @@ def divisor_tau(n: int) -> int:
 
 def sigma(n: int, k: int = 1) -> int:
     """Divisor power sum sigma_k(n) = sum of d**k over divisors d of n."""
-    if k < 0:
-        raise DomainError(f"sigma exponent must be >= 0, got {k}")
+    refuse_below(k, 0, "sigma exponent")
     return sum(d**k for d in divisors(n))
 
 
 def sgcd_table(n: int, s: int) -> np.ndarray:
     """int32 vector w with w[j] = (j, n)_s for 0 <= j < n (w[0] = s-power part of n)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    refuse_below(n, 1, "n")
     return kernels.sgcd_weights(n, power_divisors(n, s))

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .arith import divisors, euler_phi, factorize, is_prime
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError, refuse_below, refuse_exceeding
 
 #: Largest prime power, and largest character modulus, with a unit group structure.
 MODULUS_BOUND = 1 << 20
@@ -91,13 +91,11 @@ def _smallest_primitive_root(p: int, a: int) -> int:
 @lru_cache(maxsize=None)
 def unit_group_structure(p: int, a: int) -> UnitGroupStructure:
     """Canonical generators of (Z/p**a)^*."""
-    if a < 1:
-        raise DomainError(f"exponent must be >= 1, got {a}")
+    refuse_below(a, 1, "exponent")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     q = p**a
-    if q > MODULUS_BOUND:
-        raise ResourceError(f"prime power {q} exceeds bound {MODULUS_BOUND}")
+    refuse_exceeding(q, MODULUS_BOUND, "prime power")
     gens: tuple[tuple[int, int], ...]
     if p != 2:
         gens = ((_smallest_primitive_root(p, a), q // p * (p - 1)),)
@@ -128,8 +126,7 @@ class DirichletCharacter:
     components: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if self.modulus > MODULUS_BOUND:
-            raise ResourceError(f"modulus {self.modulus} exceeds bound {MODULUS_BOUND}")
+        refuse_exceeding(self.modulus, MODULUS_BOUND, "modulus")
         # Kept as tuples, so that the character stays as it was checked.
         object.__setattr__(self, "components", tuple((q, tuple(idx)) for q, idx in self.components))
         fac = factorize(self.modulus)
@@ -208,8 +205,7 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
     The principal character comes first; the ordering is the canonical
     labeling used everywhere in reports.
     """
-    if n > MODULUS_BOUND:
-        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    refuse_exceeding(n, MODULUS_BOUND, "modulus")
     comps = []
     for p, e in factorize(n).factors:
         orders = (range(order) for _, order in unit_group_structure(p, e).generators)
@@ -333,8 +329,7 @@ def character_labels(n: int) -> list[str]:
     the prime powers are concatenated in product order.  Only the last
     modulus's list is kept; it is shared, and must not be changed.
     """
-    if n > MODULUS_BOUND:
-        raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+    refuse_exceeding(n, MODULUS_BOUND, "modulus")
     labels: list[str] = []
     for p, e in factorize(n).factors:
         head = f";{p}^{e}=[" if labels else f"{n}:{p}^{e}=["
@@ -376,10 +371,8 @@ class CharacterGroup:
     The roots of unity ``_roots`` are built on the first per-character call."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise DomainError(f"modulus must be >= 1, got {n}")
-        if n > MODULUS_BOUND:
-            raise ResourceError(f"modulus {n} exceeds bound {MODULUS_BOUND}")
+        refuse_below(n, 1, "modulus")
+        refuse_exceeding(n, MODULUS_BOUND, "modulus")
         self.modulus = n
         self.structures = tuple(unit_group_structure(p, e) for p, e in factorize(n).factors)
         self.orders = tuple(order for st in self.structures for _, order in st.generators)

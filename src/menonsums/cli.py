@@ -31,7 +31,7 @@ import numpy as np
 
 from .arith import euler_phi
 from .characters import character_group, character_labels, character_order
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError, ResourceError, refuse_below
 from .harness import (
     _SPECS,
     FORMATS,
@@ -165,8 +165,7 @@ def _write_table(n: int, fmt: str, open_out: Callable[[], ContextManager[Callabl
     function that open_out() gives: label, conductor, primitivity, order, and the exact
     values chi(1..n) as turn fractions ('0' marks the zero value).  A table over
     TABLE_BOUND value cells is refused before any group is built or open_out is called."""
-    if n < 1:
-        raise DomainError(f"modulus must be >= 1, got {n}")
+    refuse_below(n, 1, "modulus")
     phi = euler_phi(n)
     if phi * n > TABLE_BOUND:
         raise ResourceError(f"char-table refused: phi(n)*n = {phi * n} cells exceed {TABLE_BOUND}")

@@ -44,9 +44,9 @@ import numpy as np
 from .arith import divisor_tau, euler_phi, factorize, klee_phi, power_divisors, primes_upto, sigma, tau_s
 from .characters import MODULUS_BOUND, DirichletCharacter, char_label, character_group, character_labels
 from .characters import unit_group_structure
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError, ResourceError, refuse_below
 from .identities import PARTITION_BOUND, SUM_BOUND, TUPLE_BOUND, char_shift_weights, cohen_partition_stats
-from .identities import generalized_weights, menon_sum, sury_sum
+from .identities import generalized_weights, menon_sum, sury_sum, sury_tuples_exceed
 
 #: Identity name used by the remark reproduction and the counterexample search.
 STRICT_GEN = "strict_gen"
@@ -350,8 +350,7 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
 def _validate_config(config: SweepConfig) -> None:
     if config.identity not in _SPECS:
         raise DomainError(f"unknown identity {config.identity!r}; choose from {tuple(_SPECS)}")
-    if config.n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {config.n_max}")
+    refuse_below(config.n_max, 1, "n_max")
     bound = _SPECS[config.identity].n_max
     if config.n_max > bound:
         raise ResourceError(f"n_max {config.n_max} exceeds the {config.identity} bound {bound}")
@@ -361,14 +360,12 @@ def _validate_config(config: SweepConfig) -> None:
         raise DomainError(f"s must be at most {np.iinfo(np.int32).max}, got {max(config.s_values)}")
     if not 0 < config.tolerance < 0.5:
         raise DomainError(f"tolerance must lie in (0, 0.5), got {config.tolerance}")
-    if config.parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {config.parallelism}")
+    refuse_below(config.parallelism, 1, "parallelism")
     if config.output not in FORMATS:
         raise DomainError(f"output must be one of {FORMATS}, got {config.output!r}")
     if config.identity == "sury":
         for s in config.s_values:
-            # n_max**64 > TUPLE_BOUND for n_max >= 2, so the capped power decides exactly.
-            if config.n_max ** min(s, 64) > TUPLE_BOUND:
+            if sury_tuples_exceed(config.n_max, s):
                 raise ResourceError(f"sury sweep refused: {config.n_max}**{s} tuples exceed {TUPLE_BOUND}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .arith import is_prime, klee_phi, power_divisors, sgcd_table
 from .characters import CharValue, DirichletCharacter, character_group
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError, ResourceError, refuse_above, refuse_below
 
 #: Largest modulus accepted by the character-sum evaluators.
 SUM_BOUND = 10**5
@@ -64,13 +64,16 @@ def round_exact(terms) -> SumResult:
     return _finish(acc)
 
 
+def sury_tuples_exceed(n: int, s_vars: int) -> bool:
+    """Whether n**s_vars, the tuple count of sury_sum(n, s_vars), exceeds TUPLE_BOUND."""
+    return n ** min(s_vars, 64) > TUPLE_BOUND  # exact: n**64 > TUPLE_BOUND for n >= 2
+
+
 def menon_sum(n: int) -> int:
     """sum of gcd(m-1, n) over 1 <= m <= n coprime to n (classical identity:
     equals phi(n) * tau(n))."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > SUM_BOUND:
-        raise ResourceError(f"menon_sum bound is {SUM_BOUND}, got {n}")
+    refuse_below(n, 1, "n")
+    refuse_above(n, SUM_BOUND, "menon_sum")
     return int(kernels.menon_gcd_sum(n))
 
 
@@ -81,11 +84,9 @@ def sury_sum(n: int, s_vars: int) -> int:
     Evaluated by enumerating the inner (s-1)-fold gcd grid once, flat, and
     reducing it once per distinct gcd(m1-1, n) over units m1, times its count.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if s_vars < 1:
-        raise DomainError(f"s_vars must be >= 1, got {s_vars}")
-    if n ** min(s_vars, 64) > TUPLE_BOUND:  # exact: n**64 > TUPLE_BOUND for n >= 2
+    refuse_below(n, 1, "n")
+    refuse_below(s_vars, 1, "s_vars")
+    if sury_tuples_exceed(n, s_vars):
         raise ResourceError(f"tuple count {n}**{s_vars} exceeds {TUPLE_BOUND}")
     tail = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)  # gcd(0, x) = x seeds the reduction
@@ -114,10 +115,8 @@ def zhao_cao_sum(n: int, chi: DirichletCharacter) -> SumResult:
     The asserted identity: the rounded value equals phi(n) * tau(n/d) with
     d the conductor of chi.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > SUM_BOUND:
-        raise ResourceError(f"zhao_cao_sum bound is {SUM_BOUND}, got {n}")
+    refuse_below(n, 1, "n")
+    refuse_above(n, SUM_BOUND, "zhao_cao_sum")
     group = character_group(n)
     return _finish(group.char_sum(chi, zhao_cao_weights(n)))
 
@@ -129,12 +128,9 @@ def generalized_sum(n: int, s: int, chi: DirichletCharacter) -> SumResult:
     over the unit residues in practice.  At s = 1 this coincides with
     zhao_cao_sum.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
-    if n > SUM_BOUND:
-        raise ResourceError(f"generalized_sum bound is {SUM_BOUND}, got {n}")
+    refuse_below(n, 1, "n")
+    refuse_below(s, 1, "s")
+    refuse_above(n, SUM_BOUND, "generalized_sum")
     group = character_group(n)
     return _finish(group.char_sum(chi, generalized_weights(n, s)))
 
@@ -157,8 +153,7 @@ def char_shift_sum(p: int, n_exp: int, s: int, m: int, chi: DirichletCharacter) 
     m = n_exp - s and 0 otherwise; when the conductor is p**l with l = r*s,
     it is Phi_s(p**(n_exp-m)) for l <= m, -p**(n_exp-l) at m = l-s, and 0 below.
     """
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+    refuse_below(s, 1, "s")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if n_exp % s != 0 or m % s != 0:
@@ -177,12 +172,9 @@ def cohen_partition_stats(n: int, s: int, d: int) -> tuple[bool, int, int]:
     A = {m <= n : (m, n)_s = 1}, and measured is the largest count any
     single residue class actually receives.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
-    if n > PARTITION_BOUND:
-        raise ResourceError(f"partition-check bound is {PARTITION_BOUND}, got {n}")
+    refuse_below(n, 1, "n")
+    refuse_below(s, 1, "s")
+    refuse_above(n, PARTITION_BOUND, "partition-check")
     if d not in power_divisors(n, s):
         raise DomainError(f"d={d} is not an s-th-power divisor of n={n} at s={s}")
     members = np.nonzero(sgcd_table(n, s) == 1)[0]  # residue 0 stands for m = n

@@ -52,14 +52,6 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             run_sweep(SweepConfig(identity="nope", n_max=10))
 
-    def test_bad_bounds(self):
-        with pytest.raises(DomainError):
-            run_sweep(SweepConfig(identity="menon", n_max=0))
-        with pytest.raises(ResourceError):
-            run_sweep(SweepConfig(identity="menon", n_max=10**6))
-        with pytest.raises(ResourceError):
-            run_sweep(SweepConfig(identity="sury", n_max=10**4, s_values=(2,)))
-
     def test_bad_tolerance_s_parallelism(self):
         with pytest.raises(DomainError):
             run_sweep(SweepConfig(identity="menon", n_max=5, tolerance=0.5))
