@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the refusal rules: every mutant must fail its named tests.
+"""Mutation check of the refusal rules and the sweep's checks: every mutant must fail its named tests.
 
 Run from the repository root:
 
@@ -18,9 +18,14 @@ that survives, and the run exits 1.
 The table holds one mutant per bound that refuses the value at the bound
 (each shared helper's comparison flipped, and each call site's bound off by
 one), a character index equal to its order accepted, and a partition check
-that no longer looks at the classes that are not s-reduced.  The tests are
-the edge table of ``tests/test_bounds.py`` and one partition test.  Like
-``perfbench/``, this lies outside tier-1.
+that no longer looks at the classes that are not s-reduced; their tests are
+the edge table of ``tests/test_bounds.py`` and one partition test.  Then come
+the sweep's checks: a scalar check that always passes, a character row that
+passes without its tolerance test, the 0.5 rounding guard off, conductor 2
+allowed at p = 2, Theorem 2's hypothesis without s | g, Klee's totient with
+its case e = s moved, theorem1 claiming 0 outside its hypothesis, and the
+merge of job tallies dropping a NaN residual; each is caught by one harness
+or acceptance test.  Like ``perfbench/``, this lies outside tier-1.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ def at(case: str) -> str:
 
 def past(case: str) -> str:
     return f"tests/test_bounds.py::test_refused_just_past_its_bound[{case}]"
+
+
+def sweep(test: str) -> str:
+    return f"tests/test_harness.py::{test}"
 
 
 class Mutant(NamedTuple):
@@ -151,6 +160,58 @@ MUTANTS = [
         "        and bool((counts[~valid] == 0).all())\n",
         "",
         ("tests/test_identities.py::TestCohenPartition::test_member_in_a_class_not_reduced_mod_d_fails",),
+    ),
+    # The sweep's checks: each verdict, guard and claim weakened.
+    Mutant(
+        "compared_true",
+        "harness.py",
+        "    return lhs == rhs, lhs, rhs",
+        "    return True, lhs, rhs",
+        (sweep("TestSweepContents::test_scalar_row_fails_exactly_where_its_check_fails[menon]"),),
+    ),
+    Mutant(
+        "tolerance_dropped",
+        "harness.py",
+        "ok = (lhs == rhs) & (residual < tolerance)",
+        "ok = lhs == rhs",
+        (sweep("TestDeterminismAndParallelism::test_tolerance_travels_with_the_job_into_workers"),),
+    ),
+    Mutant(
+        "half_guard_off",
+        "harness.py",
+        "if residual.size and not residual.max() < 0.5:",
+        "if False:",
+        (sweep("TestCli::test_integrity_error_names_its_location[zhao_cao]"),),
+    ),
+    Mutant(
+        "conductor_two",
+        "characters.py",
+        "range(a - 1, 1 if p == 2 else 0, -1)",
+        "range(a - 1, 0, -1)",
+        ("tests/test_acceptance.py::test_03_theorem2_sweep",),
+    ),
+    Mutant(
+        "shaped_any_s",
+        "harness.py",
+        "return g % s == 0 and d in [",
+        "return d in [",
+        (sweep("TestSweepContents::test_shaped_matches_theorem2_hypothesis"),),
+    ),
+    Mutant("klee_phi", "arith.py", "if e >= s else pe", "if e > s else pe", ("tests/test_acceptance.py::test_01_remark_reproduction",)),
+    Mutant(
+        "theorem1_claims_zero",
+        "harness.py",
+        "klee_phi(n, s) if d == n else None",
+        "klee_phi(n, s) if d == n else 0",
+        ("tests/test_acceptance.py::test_02_theorem1_sweep",),
+    ),
+    # The one merge of job tallies, by Python's max, which drops a NaN residual.
+    Mutant(
+        "merge_drops_nan",
+        "harness.py",
+        "np.maximum(worst, job_worst)",
+        "max(worst, job_worst)",
+        (sweep("TestRowWriters::test_text_equals_plain_rows[theorem2-1024]"),),
     ),
 ]
 

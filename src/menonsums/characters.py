@@ -152,9 +152,6 @@ class CharValue:
 
     turn: Fraction | None
 
-    ZERO_KIND = "zero"
-    ROOT_KIND = "root"
-
     @classmethod
     def zero(cls) -> "CharValue":
         return cls(None)
@@ -170,10 +167,6 @@ class CharValue:
     @property
     def is_zero(self) -> bool:
         return self.turn is None
-
-    @property
-    def kind(self) -> str:
-        return self.ZERO_KIND if self.turn is None else self.ROOT_KIND
 
     def __complex__(self) -> complex:
         if self.turn is None:

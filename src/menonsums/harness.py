@@ -11,18 +11,18 @@ counterexample search is its strict_gen sweep, and the remark is one row of
 its last job at n = 4).  ``_write`` is the one report writer, over a report's
 jobs in ``format_report``, or in ``write_report`` over ``_ran``, the one job
 task, which formats each job where it ran so its bytes go out as they arrive.
-Every sweep exhaustively enumerates its grid (all n, s and characters), emits
-one record per instance, and aggregates a pass/fail/skipped summary.  Each
-job returns its final rows as numpy columns, tolerance test included, so that
-the large theorem-2 grid stays cheap; a grid over ``ROW_BUDGET`` rows is
-refused before any job runs.  A report keeps each job's columns in grid
-order, never concatenated, and formats them in runs of at most ``_RUN_ROWS``
-rows of one job.  A CSV or text row is a head made once per job, a cell (a
-character job's label at its flat index) and a tail, cached per job when the
-residual is exactly 0.0; JSON builds each record so in one f-string.  Text
-pads columns to the max of per-job widths, taken first (streamed, by a
-first run of the jobs).  Grid order fixes the bytes of records, CSV and
-text at any parallelism; JSON differs only in the echoed config.parallelism.
+Every sweep exhaustively enumerates its grid (all n, s and characters), one
+record per instance.  A job returns its final rows, tolerance test included,
+as a ``JobResult`` of named numpy columns, so the large theorem-2 grid stays
+cheap; ``_merged`` alone adds their tallies into the summary and worst
+residual.  A grid over ``ROW_BUDGET`` rows is refused before any job runs.  A
+report keeps each job's columns in grid order, never concatenated, and
+formats them in runs of at most ``_RUN_ROWS`` rows of one job.  A CSV or text
+row is a head made once per job, a cell (a character job's label at its flat
+index) and a tail, cached per job when the residual is exactly 0.0; JSON
+builds each record so in one f-string.  Text pads columns to the max of
+per-job widths, taken first (streamed, by a first run of the jobs).  Grid
+order fixes the bytes; parallelism shows only in JSON's echoed config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ContextManager, Iterator, NamedTuple
 
@@ -90,23 +90,39 @@ class SweepRecord(NamedTuple):
     status: str
 
 
+class JobResult(NamedTuple):
+    """One job's final columns, a row per grid instance: int32 params (a character job's
+    head and flat character index, or a scalar row's n, s and point), lhs, residual, rhs, status."""
+
+    params: np.ndarray
+    lhs: np.ndarray
+    residual: np.ndarray
+    rhs: np.ndarray
+    status: np.ndarray
+
+    def tally(self) -> tuple[np.ndarray, float]:
+        """Status counts by code, and the worst live residual: 0.0 with none live, NaN when one is NaN."""
+        return np.bincount(self.status, minlength=3), float(self.residual[self.status != STATUS_SKIP].max(initial=0.0))
+
+
+def _merged(tallies) -> tuple[dict[str, int], float]:
+    """The summary and worst residual of job tallies, the one merge of them."""
+    counts, worst = np.zeros(3, np.int64), 0.0
+    for job_counts, job_worst in tallies:  # a NaN residual propagates, as in a max over every row
+        counts, worst = counts + job_counts, np.maximum(worst, job_worst)
+    return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}, float(worst)
+
+
 class IdentityReport:
-    """A sweep's config and, per job in grid order, the columns (params, lhs,
-    residual, rhs, status) that _run_job returns; one row per grid instance."""
+    """A sweep's config and the JobResult of each job in grid order, a row per grid
+    instance; its summary and worst residual are merged once, when it is made."""
 
     def __init__(self, config, jobs):
         self.config, self.jobs = config, jobs
+        self.summary, self.worst_residual = _merged(job.tally() for job in jobs)
 
     def __len__(self) -> int:
-        return sum(job[-1].size for job in self.jobs)
-
-    @property
-    def summary(self) -> dict[str, int]:
-        return _summary(sum((np.bincount(job[-1], minlength=3) for job in self.jobs), np.zeros(3, np.int64)))
-
-    @property
-    def worst_residual(self) -> float:
-        return float(reduce(np.maximum, map(_worst, self.jobs), 0.0))
+        return sum(self.summary.values())
 
     @property
     def records(self) -> list[SweepRecord]:
@@ -114,28 +130,18 @@ class IdentityReport:
         fields, records = _SPECS[identity].fields, []
         for job in self.jobs:
             labels = _labels(fields, job)
-            for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
+            for row, lhs, residual, rhs, code in zip(*(col.tolist() for col in job)):
                 cells = (None, None, None) if code == STATUS_SKIP else (lhs, residual, rhs)
                 params, chi = dict(zip(fields, row)), labels and labels[row[-1]]
                 records.append(SweepRecord(identity, params, chi, *cells, STATUS_NAMES[code]))
         return records
 
 
-def _summary(counts) -> dict[str, int]:
-    """The report summary of status counts indexed by status code."""
-    return {name: int(counts[code]) for code, name in enumerate(STATUS_NAMES)}
-
-
-def _worst(job: tuple) -> float:
-    """A job's worst live residual: 0.0 with none live, NaN when one is NaN."""
-    return float(job[2][job[-1] != STATUS_SKIP].max(initial=0.0))
-
-
-def _labels(fields: tuple[str, ...], job: tuple) -> list[str] | None:
+def _labels(fields: tuple[str, ...], job: JobResult) -> list[str] | None:
     """The character labels of a character job's modulus, None for a job
     without a chi field or rows; character_labels keeps the last modulus's,
     so they are built once per run of consecutive jobs sharing a modulus."""
-    return character_labels(_modulus(fields, job[0][0].tolist())) if "chi" in fields and len(job[0]) else None
+    return character_labels(_modulus(fields, job.params[0].tolist())) if "chi" in fields and len(job.params) else None
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ IDENTITIES = tuple(name for name in _SPECS if name != STRICT_GEN)
 
 
 # ---------------------------------------------------------------------------
-# job execution (each job returns final columns params, lhs, residual, rhs, status)
+# job execution (each job returns its final columns, a JobResult)
 
 
 def _rounded_parts(sums: np.ndarray, group, s: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +325,7 @@ def _modulus(fields: tuple[str, ...], head):
     return head[0] if fields[0] == "n" else head[0] ** head[1]
 
 
-def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
+def _run_job(job: tuple) -> JobResult:
     """Final columns of one job (identity, head, tolerance): a character row
     passes when lhs == rhs and its residual is below the tolerance."""
     ident, head, tolerance = job
@@ -328,9 +334,9 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
         s, lo, hi = head
         params = [(n, s, *point) for n in range(lo, hi + 1) for point in spec.points(n, s)]
         ok, lhs, rhs = zip(*(spec.check(*row) for row in params))
-        lhs = np.asarray(lhs, dtype=np.int64)
+        lhs, rhs = np.asarray(lhs, dtype=np.int64), np.asarray(rhs, dtype=np.int64)
         status = np.where(ok, STATUS_PASS, STATUS_FAIL).astype(np.int8)
-        return np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), np.asarray(rhs, dtype=np.int64), status
+        return JobResult(np.asarray(params, dtype=np.int32), lhs, np.zeros(lhs.size), rhs, status)
     group = character_group(_modulus(spec.fields, head))
     classes, of = np.unique(group.conductors(), return_inverse=True)
     claims = [spec.rhs(d, *head) for d in classes.tolist()]  # one per conductor, None: no claim
@@ -344,7 +350,7 @@ def _run_job(job: tuple) -> tuple[np.ndarray, ...]:
     params = np.empty((rows.size, len(head) + 1), dtype=np.int32)
     params[:, :-1] = head
     params[:, -1] = rows
-    return params, lhs[rows], residual[rows], rhs[rows], status[rows]
+    return JobResult(params, lhs[rows], residual[rows], rhs[rows], status[rows])
 
 
 def _validate_config(config: SweepConfig) -> None:
@@ -471,10 +477,9 @@ def reproduce_remark() -> IdentityReport:
     outcome, so callers treat it as success.  Any other values raise IntegrityError.
     """
     config = SweepConfig(identity=STRICT_GEN, n_max=4, s_values=(2,))
-    job = tuple(col[:1] for col in _run_job(_jobs(config)[-1]))
-    lhs, rhs = job[1][0], job[3][0]
-    if lhs != 5 or rhs != 6:
-        raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={lhs}, RHS={rhs}")
+    job = JobResult._make(col[:1] for col in _run_job(_jobs(config)[-1]))
+    if (job.lhs[0], job.rhs[0]) != (5, 6):
+        raise IntegrityError(f"remark reproduction expected LHS=5, RHS=6; got LHS={job.lhs[0]}, RHS={job.rhs[0]}")
     return IdentityReport(config, [job])
 
 
@@ -494,25 +499,25 @@ def search_counterexamples(n_max: int, s_values, tolerance: float = 1e-6, parall
 
 
 class _Tails(dict):
-    """One job's row tails, tail(lhs, residual, rhs, status code): a skipped
-    row's is made once, and a row whose residual is exactly 0.0 (residuals
-    are absolute values, never -0.0) takes it by (lhs, rhs, code), made at
-    first use."""
+    """One job's row tails: skip for a skipped row, else tail(lhs, residual,
+    rhs, status code), made at first use and kept by (lhs, rhs, code) when the
+    residual is exactly 0.0 (residuals are absolute values, never -0.0)."""
 
-    def __init__(self, tail: Callable):
-        self.tail, self.skip = tail, tail(0, 0.0, 0, STATUS_SKIP)
+    def __init__(self, tail: Callable, skip):
+        self.tail, self.skip = tail, skip
 
     def __missing__(self, key):
         made = self[key] = self.tail(key[0], 0.0, *key[1:])
         return made
 
-    def of(self, job: tuple, a: int) -> list:
+    def of(self, job: JobResult, a: int) -> list:
         """The tail of each row of the run of job from row a."""
-        skip, tail, rows = self.skip, self.tail, zip(*(col[a : a + _RUN_ROWS].tolist() for col in job[1:]))
+        cols = (job.lhs, job.residual, job.rhs, job.status)
+        skip, tail, rows = self.skip, self.tail, zip(*(col[a : a + _RUN_ROWS].tolist() for col in cols))
         return [skip if c == STATUS_SKIP else self[l, h, c] if r == 0.0 else tail(l, r, h, c) for l, r, h, c in rows]
 
 
-def _table_job(fields: tuple[str, ...], job: tuple, labels: list[str] | None, templates: tuple[str, ...]) -> bytes:
+def _table_job(fields: tuple[str, ...], job: JobResult, labels: list[str] | None, templates: tuple[str, ...]) -> bytes:
     """One job's CSV or text rows, each head + cell + tail, from the templates
     (lead, mid, cell, row, skip), _RUN_ROWS rows at a time.  A character job's
     head, lead + mid % (n, s), is made once, and its cell is its label at the
@@ -521,8 +526,8 @@ def _table_job(fields: tuple[str, ...], job: tuple, labels: list[str] | None, te
     "d=..." or "").  A tail, row % (lhs, residual, rhs, status) or skip,
     starts by closing the cell, so a run is head + head.join(cell + tail)."""
     lead, mid, cell, row, skip = templates
-    tails = _Tails(lambda l, r, h, c: skip if c == STATUS_SKIP else row % (l, r, h, STATUS_NAMES[c]))
-    params, parts = job[0], []
+    tails = _Tails(lambda l, r, h, c: row % (l, r, h, STATUS_NAMES[c]), skip)
+    params, parts = job.params, []
     if labels is not None and len(params):
         top = params[0].tolist()
         suffix = f" m={top[fields.index('m')]}" if "m" in fields else ""
@@ -539,7 +544,7 @@ def _table_job(fields: tuple[str, ...], job: tuple, labels: list[str] | None, te
     return "".join(parts).encode()
 
 
-def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
+def _json_job(identity: str, job: JobResult, labels: list[str] | None) -> bytes:
     """One job's JSON records, ", "-separated: each the json.dumps(...,
     sort_keys=True) of its record, one f-string in sorted-key order, _RUN_ROWS
     rows at a time.  A character job's params are its flat character index
@@ -551,9 +556,9 @@ def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     order = sorted(range(len(fields)), key=fields.__getitem__)
     keyed = "{{" + ", ".join(f"{json.dumps(fields[i])}: {{}}" for i in order) + "}}"
     ident, skip = json.dumps(identity), ("null", 'null, "rhs": null, "status": "skipped"}')
-    tails = _Tails(lambda l, r, h, c: skip if c == STATUS_SKIP else (
-        str(l), f'{repr(r) if math.isfinite(r) else json.dumps(r)}, "rhs": {h}, "status": "{STATUS_NAMES[c]}"}}'))
-    params, parts, pre, rest = job[0], [], "", ""
+    tails = _Tails(lambda l, r, h, c: (
+        str(l), f'{repr(r) if math.isfinite(r) else json.dumps(r)}, "rhs": {h}, "status": "{STATUS_NAMES[c]}"}}'), skip)
+    params, parts, pre, rest = job.params, [], "", ""
     if labels is not None and len(params):
         pre, rest = '{"chi": ', keyed[len('{{"chi": {}') :].format(*params[0, order[1:]].tolist())
     for a in range(0, len(params), _RUN_ROWS):
@@ -569,13 +574,13 @@ def _json_job(identity: str, job: tuple, labels: list[str] | None) -> bytes:
     return ", ".join(parts).encode()
 
 
-def _job_widths(identity: str, job: tuple) -> tuple[int, ...]:
+def _job_widths(identity: str, job: JobResult) -> tuple[int, ...]:
     """Lengths of one job's widest text cells, identity .. rhs, the last three
     live; a label is longest at the last flat index, where every index is largest."""
-    fields, params, live = _SPECS[identity].fields, job[0], job[-1] != STATUS_SKIP
+    fields, params, live = _SPECS[identity].fields, job.params, job.status != STATUS_SKIP
     if not len(params):
         return (0,) * 7
-    top, (lhs, residual, rhs) = params.max(axis=0).tolist(), (col[live] for col in job[1:4])
+    top, (lhs, residual, rhs) = params.max(axis=0).tolist(), (col[live] for col in (job.lhs, job.residual, job.rhs))
     chi = [f"{f}={top[fields.index(f)]}" for f in ("m", "d") if f in fields]
     if "chi" in fields:
         n = _modulus(fields, top)
@@ -619,9 +624,18 @@ def _sink(fmt: str, config: SweepConfig, job_widths: Callable[[], Iterator]) -> 
     return partial(_table_job, fields, templates=templates), (head + "\n").encode()
 
 
-def _formatted(writer: Callable, fields: tuple[str, ...], job: tuple) -> tuple[bytes, np.ndarray, float]:
-    """A job's chunk from writer with its modulus's labels, its status counts and its worst live residual."""
-    return writer(job, _labels(fields, job)), np.bincount(job[-1], minlength=3), _worst(job)
+def _formatted(writer: Callable, fields: tuple[str, ...], job: JobResult) -> tuple[bytes, tuple]:
+    """A job's chunk from writer with its modulus's labels, and its tally."""
+    return writer(job, _labels(fields, job)), job.tally()
+
+
+def _written(write: Callable, results: Iterator, sep: bytes) -> Iterator[tuple]:
+    """Write each (chunk, tally) of results, with sep between non-empty chunks, and yield its tally."""
+    seps = chain([b""], repeat(sep))
+    for chunk, tally in results:
+        if chunk:
+            write(next(seps) + chunk)
+        yield tally
 
 
 def _write(fmt: str, config: SweepConfig, run: Callable, open_out: Callable) -> dict[str, int]:
@@ -629,22 +643,15 @@ def _write(fmt: str, config: SweepConfig, run: Callable, open_out: Callable) -> 
     gives, where run(task) yields task(result) for each job result in grid
     order: head, each job's _formatted chunk, with ", " between non-empty JSON
     chunks, then the tail (the text summary line, or the JSON summary) from
-    the merged counts and worst residual.  Text calls run twice, the first
-    time for the column widths.  Returns the summary."""
+    the _merged tallies, each folded in as its chunk is written.  Text calls
+    run twice, the first time for the column widths.  Returns the summary."""
     writer, head = _sink(fmt, config, lambda: run(partial(_job_widths, config.identity)))
     results = run(partial(_formatted, writer, _SPECS[config.identity].fields))
     with open_out() as write:
         write(head)
-        counts, worst, sep = np.zeros(3, np.int64), 0.0, b""
-        for chunk, job_counts, job_worst in results:
-            counts += job_counts
-            worst = np.maximum(worst, job_worst)  # a NaN residual propagates, as in a max over every row
-            if chunk:
-                write(sep + chunk)
-                sep = b", " if fmt == "json" else b""
-        summary = _summary(counts)
+        summary, worst = _merged(_written(write, results, b", " if fmt == "json" else b""))
         if fmt == "json":
-            tail = json.dumps({"summary": summary, "worst_residual": float(worst)}, sort_keys=True)
+            tail = json.dumps({"summary": summary, "worst_residual": worst}, sort_keys=True)
             write(f"], {tail[1:]}\n".encode())
         elif fmt == "text":
             cells = " ".join(f"{name}={count}" for name, count in summary.items())

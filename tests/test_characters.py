@@ -430,7 +430,7 @@ class TestCharValueInvariants:
         half = CharValue.root(Fraction(1, 2))
         assert half * half == one
         assert complex(half) == pytest.approx(-1 + 0j)
-        assert zero.kind == "zero" and half.kind == "root"
+        assert zero.is_zero and not half.is_zero
 
 
 class TestLabels:

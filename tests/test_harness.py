@@ -80,7 +80,7 @@ class TestConfigValidation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [job[0].tolist() for job in report.jobs] == [[[1, 10**8, 0]]]
+        assert [job.params.tolist() for job in report.jobs] == [[[1, 10**8, 0]]]
         assert peak < 2 * 2**20
 
     def test_oversized_grid_refused_before_any_job(self, monkeypatch, capsys):
@@ -108,7 +108,7 @@ class TestConfigValidation:
 
     def test_largest_int32_s_keeps_its_row(self):
         report = run_sweep(SweepConfig(identity="theorem1", n_max=16, s_values=(2**31 - 1,)))
-        assert [job[0].tolist() for job in report.jobs] == [[[1, 2**31 - 1, 0]]]
+        assert [job.params.tolist() for job in report.jobs] == [[[1, 2**31 - 1, 0]]]
 
     @pytest.mark.parametrize("identity, n_max", [("theorem2", 4096), ("lemma34", 10**4)])
     def test_row_budget_admits_the_largest_checked_grids(self, identity, n_max, monkeypatch):
@@ -219,7 +219,7 @@ class TestSweepContents:
         if spec.drop:  # a job keeps exactly its characters with a claim
             for head, job in zip(spec.grid(n_max, (1, 2)), report.jobs, strict=True):
                 claims = [spec.rhs(d, *head) for d in conductors(harness._modulus(spec.fields, head))]
-                assert job[-1].size == sum(c is not None for c in claims), head
+                assert job.status.size == sum(c is not None for c in claims), head
 
     def test_sury_at_n1_accepts_more_than_64_variables(self, capsys):
         assert main(["verify", "sury", "--n-max", "1", "--s", "66", "--format", "csv"]) == 0
@@ -363,7 +363,7 @@ class TestRemark:
         assert rec.lhs == res.rounded
         assert abs(rec.residual - res.residual) < 1e-12
         assert rec.rhs == klee_phi(4, 2) * tau_s(4 // conductor(chi), 2)
-        assert [job[0].tolist() for job in report.jobs] == [[[4, 2, character_group(4).flat_index(chi)]]]
+        assert [job.params.tolist() for job in report.jobs] == [[[4, 2, character_group(4).flat_index(chi)]]]
 
     def test_csv_row_shape(self):
         line = format_report(reproduce_remark(), "csv").decode().splitlines()[1]
@@ -560,9 +560,11 @@ class TestFormats:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         config = SweepConfig("theorem2", 64, (1, 2), output=fmt, parallelism=jobs)
         parts = []
-        harness.write_report(config, fmt, lambda: contextlib.nullcontext(parts.append))
+        summary = harness.write_report(config, fmt, lambda: contextlib.nullcontext(parts.append))
         assert calls == ["_validate_config", "_admit"]
-        assert b"".join(parts) == format_report(run_sweep(config), fmt)
+        report = run_sweep(config)
+        assert b"".join(parts) == format_report(report, fmt)
+        assert summary == report.summary
 
     def test_unknown_format(self):
         with pytest.raises(DomainError):
@@ -570,11 +572,11 @@ class TestFormats:
 
 
 def _job(rows, width):
-    """A job's columns from rows (params..., lhs, residual, rhs, status), params width wide."""
+    """A JobResult from rows (params..., lhs, residual, rhs, status), params width wide."""
     cols = list(zip(*rows)) or [()] * (width + 4)
     params = np.array(list(zip(*cols[:width])), dtype=np.int32).reshape(len(rows), width)
     dtypes = (np.int64, np.float64, np.int64, np.int8)
-    return (params, *(np.array(col, dtype=dtype) for col, dtype in zip(cols[width:], dtypes)))
+    return harness.JobResult(params, *(np.array(col, dtype=dtype) for col, dtype in zip(cols[width:], dtypes)))
 
 
 P, F, S = harness.STATUS_PASS, harness.STATUS_FAIL, harness.STATUS_SKIP
@@ -582,16 +584,18 @@ NAN, INF = math.nan, math.inf
 
 # Every residual shape, skipped rows, dropped non-contiguous flat indices, the
 # same (lhs, rhs) under pass and fail, lemma m= cells, cohen d= cells, menon
-# rows with no chi, and an empty job.
+# rows with no chi, and an empty job.  The NaN residual is in a later job than
+# a finite worst one, so a merge by Python's max, which keeps its first
+# argument against a NaN, drops it.
 _WRITER_JOBS = {
     "theorem2": [
+        _job([(12, 1, 3, 1, 0.0, 1, P), (12, 1, 0, 12, 1e-300, 1, F), (12, 1, 2, 0, 0.0, 0, S)], 3),
+        _job([], 3),
         _job([
             (16, 1, 1, 3, 0.0, 3, P), (16, 1, 3, 3, 0.0, 3, F), (16, 1, 4, 3, 1e-300, 3, P),
             (16, 1, 6, 0, 0.0, 0, S), (16, 1, 7, 3, 5e-324, 3, P), (16, 1, 0, -2, 9.9995e-07, 5, F),
             (16, 1, 2, 3, NAN, 3, F), (16, 1, 5, 3, INF, 3, F), (16, 1, 1, 0, 0.0, 0, S),
         ], 3),
-        _job([], 3),
-        _job([(12, 1, 3, 1, 0.0, 1, P), (12, 1, 0, 12, 1e-300, 1, F), (12, 1, 2, 0, 0.0, 0, S)], 3),
     ],
     "lemma31": [
         _job([
@@ -612,7 +616,7 @@ def _plain_rows(identity, job):
     """Per row of job: the text and CSV cells (identity, n, s, chi, lhs,
     residual, rhs, status) and the record dict, each built by hand."""
     fields = harness._SPECS[identity].fields
-    for row, lhs, residual, rhs, code in zip(job[0].tolist(), *(col.tolist() for col in job[1:])):
+    for row, lhs, residual, rhs, code in zip(*(col.tolist() for col in job)):
         params = dict(zip(fields, row))
         n = params["p"] ** params["n_exp"] if "p" in params else params["n"]
         label = character_labels(n)[params["chi"]] if "chi" in params else None
@@ -653,12 +657,14 @@ class TestRowWriters:
             "  ".join("%-*s" % (w, c) for w, c in zip(widths, r[:7])) + "  %s\n" % r[7]
             for r in [header + ("status",), *rows]
         ]
-        status = np.concatenate([job[-1] for job in jobs])
-        live = np.concatenate([job[2] for job in jobs])[status != S]
-        counts = tuple(int((status == code).sum()) for code in (P, F, S))
-        lines.append("summary: pass=%d fail=%d skipped=%d worst_residual=%.3e\n" % (*counts, np.max([*live, 0.0])))
+        status = np.concatenate([job.status for job in jobs])
+        live = np.concatenate([job.residual for job in jobs])[status != S]
+        counts, worst = tuple(int((status == code).sum()) for code in (P, F, S)), np.max([*live, 0.0])
+        lines.append("summary: pass=%d fail=%d skipped=%d worst_residual=%.3e\n" % (*counts, worst))
         report = harness.IdentityReport(SweepConfig(identity, 64), jobs)
         assert format_report(report, "text") == "".join(lines).encode()
+        assert report.summary == dict(zip(STATUS_NAMES, counts))
+        assert report.worst_residual == worst or (math.isnan(report.worst_residual) and math.isnan(worst))
 
 
 class TestCharTable:

@@ -50,7 +50,8 @@ def _edge_report() -> IdentityReport:
     rhs = np.array([6, -3, 0, 6, 5, -12, 18, 0, -1, 0, 2**40, -(2**40)], dtype=np.int64)
     residual = np.array([0.0, 1e-300, 0.0, 5e-324, 9.9995e-07, 0.49999, 0.0, 0.0, 1e-300, 2.5e-07, 9.9995e-07, 0.49999])
     status = np.array([0, 0, 2, 1, 0, 1, 0, 2, 0, 1, 0, 1], dtype=np.int8)
-    jobs = [tuple(col[rows] for col in (params, lhs, residual, rhs, status)) for rows in (slice(0, 6), slice(6, 12))]
+    columns = (params, lhs, residual, rhs, status)
+    jobs = [harness.JobResult(*(col[rows] for col in columns)) for rows in (slice(0, 6), slice(6, 12))]
     return IdentityReport(config, jobs)
 
 
