@@ -15,17 +15,18 @@ tests run against that copy (first on PYTHONPATH); pytest must report a
 failed test (exit 1).  Any other outcome, a pass or an error, is a mutant
 that survives, and the run exits 1.
 
-The table holds one mutant per bound that refuses the value at the bound
-(each shared helper's comparison flipped, and each call site's bound off by
-one), a character index equal to its order accepted, and a partition check
-that no longer looks at the classes that are not s-reduced; their tests are
-the edge table of ``tests/test_bounds.py`` and one partition test.  Then come
-the sweep's checks: a scalar check that always passes, a character row that
-passes without its tolerance test, the 0.5 rounding guard off, conductor 2
-allowed at p = 2, Theorem 2's hypothesis without s | g, Klee's totient with
-its case e = s moved, theorem1 claiming 0 outside its hypothesis, and the
-merge of job tallies dropping a NaN residual; each is caught by one harness
-or acceptance test.  Like ``perfbench/``, this lies outside tier-1.
+The table holds one mutant per bound that refuses the value at the bound (each
+shared helper's comparison flipped, and each call site's bound off by one),
+menon's s bound raised to 2, a character index equal to its order accepted,
+and a partition check that no longer looks at the classes that are not
+s-reduced; their tests are the edge table of ``tests/test_bounds.py`` and one
+partition test.  Then come the sweep's checks: a scalar check that always
+passes, a character row that passes without its tolerance test, the 0.5
+rounding guard off, conductor 2 allowed at p = 2, Theorem 2's hypothesis
+without s | g, Klee's totient with its case e = s moved, the F_s claim of 0
+outside a hypothesis (theorem1's), and the merge of job tallies dropping a NaN
+residual; each is caught by one harness or acceptance test.  Like
+``perfbench/``, this lies outside tier-1.
 """
 
 from __future__ import annotations
@@ -141,13 +142,8 @@ MUTANTS = [
     ),
     Mutant("n_max", "harness.py", "config.n_max > bound", "config.n_max > bound - 1", (at("n_max_menon"), at("n_max_lemma31"))),
     Mutant("row_budget", "harness.py", "total > ROW_BUDGET", "total > ROW_BUDGET - 1", (at("row_budget"),)),
-    Mutant(
-        "int32_s",
-        "harness.py",
-        "max(config.s_values) > np.iinfo(np.int32).max",
-        "max(config.s_values) > np.iinfo(np.int32).max - 1",
-        (at("int32_s"),),
-    ),
+    Mutant("int32_s", "harness.py", "max(config.s_values) > s_max", "max(config.s_values) > s_max - 1", (at("int32_s"),)),
+    Mutant("s_max_menon", "harness.py", "_batch_grid, s_max=1,", "_batch_grid, s_max=2,", (past("s_max_menon"),)),
     Mutant("n_max_low", "harness.py", 'refuse_below(config.n_max, 1, "n_max")', 'refuse_below(config.n_max, 2, "n_max")', (at("n_max_low"),)),
     Mutant("group_low", "characters.py", 'refuse_below(n, 1, "modulus")\n        ', 'refuse_below(n, 2, "modulus")\n        ', (at("group_low"),)),
     # H: a character index equal to its order accepted; and index 0 refused.
@@ -201,8 +197,8 @@ MUTANTS = [
     Mutant(
         "theorem1_claims_zero",
         "harness.py",
-        "klee_phi(n, s) if d == n else None",
-        "klee_phi(n, s) if d == n else 0",
+        "if holds(d, n, s) else None",
+        "if holds(d, n, s) else 0",
         ("tests/test_acceptance.py::test_02_theorem1_sweep",),
     ),
     # The one merge of job tallies, by Python's max, which drops a NaN residual.

@@ -445,7 +445,7 @@ class CharacterGroup:
         return character_labels(self.modulus)[flat]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def character_group(n: int) -> CharacterGroup:
-    """Shared per-modulus engine; construction is idempotent and cached."""
+    """Shared per-modulus engine; only the last modulus's group is kept, for consecutive calls at it."""
     return CharacterGroup(n)

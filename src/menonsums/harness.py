@@ -1,8 +1,8 @@
 """Verification sweeps over the identity grids, with serializable reports.
 
-Every identity is one row of ``_SPECS``: its report fields, n_max bound
-and default, and job grid, plus either a scalar check at each point(n, s) of
-each n or the weights of a sum over all characters of one modulus with one
+Every identity is one row of ``_SPECS``: its report fields, n and s bounds,
+default n_max and job grid, plus either a scalar check at each point(n, s)
+of each n or the weights of a sum over all characters mod n with one claim
 rhs(d, *head) per conductor d, None outside its hypothesis.  ``_run_job`` is
 the one runner for both kinds, ``_jobs`` validates a config and admits its
 grid once per run, and ``_results`` runs those jobs in grid order:
@@ -202,36 +202,35 @@ def _compared(lhs: int, rhs: int) -> tuple[bool, int, int]:
 def _lemma33_rhs(d: int, p: int, n_exp: int, s: int, m: int) -> int | None:
     if not _shaped(d, p**n_exp, s):
         return None
-    l = round(math.log(d, p))
+    ((_, l),) = factorize(d).factors  # d = p**l, l >= s
     if l <= m:
         return klee_phi(p ** (n_exp - m), s)
     return -(p ** (n_exp - l)) if m == l - s else 0
 
 
-def _theorem2_rhs(d: int, n: int, s: int) -> int | None:
-    return klee_phi(n, s) * tau_s(n // d, s) if _shaped(d, n, s) else None
+def _fs(holds: Callable) -> Callable:
+    """The claim F_s(n, chi) = Phi_s(n) * tau_s(n/d) at conductor d where holds(d, n, s), else None."""
+    return lambda d, n, s: klee_phi(n, s) * tau_s(n // d, s) if holds(d, n, s) else None
 
 
 class IdentitySpec(NamedTuple):
-    """One swept identity.
+    """One swept identity, at n <= n_max and s <= s_max (1 for menon and zhao_cao, which have no s).
 
-    A scalar identity has one row at each point(n, s) of each n of a job
-    (s, lo, hi), checked by check(n, s, *point) -> (ok, lhs, rhs).  A
-    character identity sums weights(*head), by default the F_s weights
-    (k-1, n)_s, against every character of the modulus n (or p**n_exp) and
-    compares each sum with its one claim per conductor d, rhs(d, *head); a
-    claim of None lies outside the identity's hypothesis, and its characters
-    are reported skipped, or left out when drop is set.  The default weights
-    and the menon and sury checks (each a sum against its rhs) are lambdas
-    that look generalized_weights, menon_sum and sury_sum up when a job runs,
-    so a wrapped module attribute (a tracer's span) is what runs; every other
-    check and weights is named directly.
+    A scalar identity has one row at each point(n, s) of each n of a job (s, lo, hi), checked by
+    check(n, s, *point) -> (ok, lhs, rhs).  A character identity sums weights(*head), by default the
+    F_s weights (k-1, n)_s, against every character of the modulus n (or p**n_exp) and compares each
+    sum with its one claim per conductor d, rhs(d, *head): _fs(holds) for F_s under a hypothesis, or
+    a lemma's own.  A claim of None lies outside the hypothesis; its characters are reported
+    skipped, or left out when drop is set.  The default weights and the menon and sury checks (each
+    a sum against its rhs) are lambdas that look generalized_weights, menon_sum and sury_sum up when
+    a job runs, so a wrapped module attribute (a tracer's span) runs; the others are named directly.
     """
 
     fields: tuple[str, ...]
     n_max: int
     default_n_max: int  # the n_max of a CLI run without --n-max
     grid: Callable  # (n_max, s_values) -> the leading params of each job, in report order
+    s_max: int = 2**31 - 1  # the largest s a sweep takes; report params are int32
     check: Callable | None = None
     weights: Callable = lambda n, s: generalized_weights(n, s)
     rhs: Callable | None = None
@@ -242,7 +241,7 @@ class IdentitySpec(NamedTuple):
 _SPECS: dict[str, IdentitySpec] = {
     "menon": IdentitySpec(
         ("n", "s"), SUM_BOUND, 1000,
-        lambda n_max, s_values: _batch_grid(n_max, (1,)),
+        _batch_grid, s_max=1,
         check=lambda n, s: _compared(menon_sum(n), euler_phi(n) * divisor_tau(n)),
     ),
     "sury": IdentitySpec(
@@ -252,19 +251,19 @@ _SPECS: dict[str, IdentitySpec] = {
     ),
     "zhao_cao": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 100,
-        lambda n_max, s_values: [(n, 1) for n in range(1, n_max + 1)],
-        rhs=lambda d, n, s: euler_phi(n) * divisor_tau(n // d),
+        _powers_grid(1), s_max=1,
+        rhs=_fs(lambda d, n, s: True),
     ),
     "theorem1": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 256,
         _powers_grid(1),
-        rhs=lambda d, n, s: klee_phi(n, s) if d == n else None,
+        rhs=_fs(lambda d, n, s: d == n),
         drop=True,
     ),
     "theorem2": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 512,
         _powers_grid(2),
-        rhs=_theorem2_rhs,
+        rhs=_fs(_shaped),
     ),
     "lemma31": IdentitySpec(
         ("p", "n_exp", "s", "m", "chi"), MODULUS_BOUND, 1024,
@@ -283,7 +282,7 @@ _SPECS: dict[str, IdentitySpec] = {
     "lemma34": IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 1024,
         lambda n_max, s_values: [(p**a, s) for p, a, s in _prime_powers(n_max, s_values, 1)],
-        rhs=_theorem2_rhs,
+        rhs=_fs(_shaped),
     ),
     "cohen_partition": IdentitySpec(
         ("n", "s", "d"), PARTITION_BOUND, 200,
@@ -294,7 +293,7 @@ _SPECS: dict[str, IdentitySpec] = {
     STRICT_GEN: IdentitySpec(
         ("n", "s", "chi"), SUM_BOUND, 36,
         lambda n_max, s_values: [(n, s) for s in s_values for n in range(1, n_max + 1)],
-        rhs=lambda d, n, s: klee_phi(n, s) * tau_s(n // d, s),  # Theorem 2 at every conductor
+        rhs=_fs(lambda d, n, s: True),  # Theorem 2 at every conductor
     ),
 }
 
@@ -357,13 +356,13 @@ def _validate_config(config: SweepConfig) -> None:
     if config.identity not in _SPECS:
         raise DomainError(f"unknown identity {config.identity!r}; choose from {tuple(_SPECS)}")
     refuse_below(config.n_max, 1, "n_max")
-    bound = _SPECS[config.identity].n_max
+    bound, s_max = _SPECS[config.identity].n_max, _SPECS[config.identity].s_max
     if config.n_max > bound:
         raise ResourceError(f"n_max {config.n_max} exceeds the {config.identity} bound {bound}")
     if not config.s_values or any(s < 1 for s in config.s_values):
         raise DomainError(f"s_values must be a nonempty list of positive integers, got {config.s_values}")
-    if max(config.s_values) > np.iinfo(np.int32).max:  # report params are int32
-        raise DomainError(f"s must be at most {np.iinfo(np.int32).max}, got {max(config.s_values)}")
+    if max(config.s_values) > s_max:
+        raise DomainError(f"s must be at most {s_max}, got {max(config.s_values)}")
     if not 0 < config.tolerance < 0.5:
         raise DomainError(f"tolerance must lie in (0, 0.5), got {config.tolerance}")
     refuse_below(config.parallelism, 1, "parallelism")

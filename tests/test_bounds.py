@@ -2,7 +2,8 @@
 it, refused at once with its exact message.
 
 The table holds the 17 ResourceError bounds (ROW_BUDGET and each identity's
-n_max among them), the int32 cap on s, a character index's range [0, order)
+n_max among them), each identity's s bound (the int32 cap on report params,
+or s = 1 for menon and zhao_cao), a character index's range [0, order)
 and the lower bounds of a sweep's n_max and a group's modulus.  Every bound is
 inclusive.  An at-edge call that would build something large (every
 character mod 2**20, a 10**7-cell table) is stopped right after its check by
@@ -182,6 +183,12 @@ EDGES = {
         DomainError,
         "s must be at most 2147483647, got 2147483648",
     ),
+    **{
+        f"s_max_{identity}": Edge(
+            _config(identity, 16, (1,)), _config(identity, 16, (2,)), DomainError, "s must be at most 1, got 2"
+        )
+        for identity in ("menon", "zhao_cao")
+    },
     "group_low": Edge(lambda: CharacterGroup(1), lambda: CharacterGroup(0), DomainError, "modulus must be >= 1, got 0"),
     # The unit group mod 5 has one generator, of order 4.
     "index_high": Edge(

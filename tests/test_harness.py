@@ -47,6 +47,11 @@ from menonsums.cli import char_table_bytes, main
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def _taken(identity: str) -> tuple[int, ...]:
+    """The s of (1, 2) that identity takes: s = 1 alone for menon and zhao_cao."""
+    return tuple(s for s in (1, 2) if s <= harness._SPECS[identity].s_max)
+
+
 class TestConfigValidation:
     def test_unknown_identity(self):
         with pytest.raises(DomainError):
@@ -104,7 +109,8 @@ class TestConfigValidation:
 
         monkeypatch.setattr(harness, "_run_job", no_job)
         assert main([*command, "--n-max", "16", "--s", "2147483648"]) == 2
-        assert capsys.readouterr().err == "error: s must be at most 2147483647, got 2147483648\n"
+        s_max = harness._SPECS[command[1] if command[0] == "verify" else STRICT_GEN].s_max
+        assert capsys.readouterr().err == f"error: s must be at most {s_max}, got 2147483648\n"
 
     def test_largest_int32_s_keeps_its_row(self):
         report = run_sweep(SweepConfig(identity="theorem1", n_max=16, s_values=(2**31 - 1,)))
@@ -124,7 +130,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("identity", ["theorem2", "lemma33", "cohen_partition", "menon", "sury"])
     def test_row_count_is_exact_without_drop(self, identity, monkeypatch):
-        config = SweepConfig(identity=identity, n_max=64, s_values=(1, 2))
+        config = SweepConfig(identity=identity, n_max=64, s_values=_taken(identity))
         rows = len(run_sweep(config))
         monkeypatch.setattr(harness, "ROW_BUDGET", rows)
         assert len(run_sweep(config)) == rows
@@ -138,7 +144,7 @@ class TestSweepContents:
     def test_scalar_row_fails_exactly_where_its_check_fails(self, identity, monkeypatch, capsys):
         # One wrong evaluation at n = 12; d = 4 = 2**2 is an s-th power divisor of 12 at s = 1 and 2.
         failing = {
-            "menon": [{"n": 12, "s": 1}],  # menon's grid has s = 1 only
+            "menon": [{"n": 12, "s": 1}],  # menon takes s = 1 only
             "sury": [{"n": 12, "s": 1}, {"n": 12, "s": 2}],
             "cohen_partition": [{"n": 12, "s": 1, "d": 4}, {"n": 12, "s": 2, "d": 4}],
         }[identity]
@@ -151,10 +157,11 @@ class TestSweepContents:
             "cohen_partition",
             cohen._replace(check=lambda n, s, d: (False, 0, 1) if (n, d) == (12, 4) else cohen.check(n, s, d)),
         )
-        report = run_sweep(SweepConfig(identity=identity, n_max=20, s_values=(1, 2)))
+        report = run_sweep(SweepConfig(identity=identity, n_max=20, s_values=_taken(identity)))
         assert [r.params for r in report.records if r.status == "fail"] == failing
         assert report.summary["fail"] == len(failing) and report.summary["pass"] == len(report) - len(failing)
-        assert main(["verify", identity, "--n-max", "20", "--s", "1,2", "--format", "csv"]) == 1
+        s_arg = ",".join(map(str, _taken(identity)))
+        assert main(["verify", identity, "--n-max", "20", "--s", s_arg, "--format", "csv"]) == 1
         capsys.readouterr()
 
     def test_menon_single_record(self):
@@ -206,10 +213,7 @@ class TestSweepContents:
         # character's conductor, read here through the per-character API.
         spec = harness._SPECS[identity]
         n_max = 256 if identity.startswith("lemma") else 64
-        if identity == STRICT_GEN:
-            report = search_counterexamples(n_max, (1, 2))
-        else:
-            report = run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=(1, 2)))
+        report = run_sweep(SweepConfig(identity=identity, n_max=n_max, s_values=_taken(identity)))
         conductors = functools.cache(lambda n: [conductor(chi) for chi in enumerate_characters(n)])
         for rec in report.records:
             *head, j = rec.params.values()
@@ -217,9 +221,17 @@ class TestSweepContents:
             assert (rec.status == "skipped") == (claim is None), rec
             assert claim is None or rec.rhs == claim, rec
         if spec.drop:  # a job keeps exactly its characters with a claim
-            for head, job in zip(spec.grid(n_max, (1, 2)), report.jobs, strict=True):
+            for head, job in zip(spec.grid(n_max, report.config.s_values), report.jobs, strict=True):
                 claims = [spec.rhs(d, *head) for d in conductors(harness._modulus(spec.fields, head))]
                 assert job.status.size == sum(c is not None for c in claims), head
+
+    @pytest.mark.parametrize("identity, s", [(ident, s) for ident in harness._SPECS for s in _taken(ident)])
+    def test_report_echoes_only_the_s_it_ran(self, identity, s):
+        report = run_sweep(SweepConfig(identity=identity, n_max=64, s_values=(s,)))
+        ran = {rec.params["s"] for rec in report.records}
+        assert ran <= set(report.config.s_values)
+        if harness._SPECS[identity].grid(64, (s,)):  # each s asked ran, where the grid has a job
+            assert s in ran
 
     def test_sury_at_n1_accepts_more_than_64_variables(self, capsys):
         assert main(["verify", "sury", "--n-max", "1", "--s", "66", "--format", "csv"]) == 0
@@ -235,7 +247,7 @@ class TestSweepContents:
 
     def test_summary_totals_records(self):
         for ident, nmax in (("zhao_cao", 24), ("theorem2", 64), ("cohen_partition", 30)):
-            report = run_sweep(SweepConfig(identity=ident, n_max=nmax, s_values=(1, 2)))
+            report = run_sweep(SweepConfig(identity=ident, n_max=nmax, s_values=_taken(ident)))
             assert sum(report.summary.values()) == len(report)
             assert {r.status for r in report.records} <= set(STATUS_NAMES)
 
@@ -279,7 +291,7 @@ class SerialPool:
 def _sweep(identity, parallelism):
     if identity == STRICT_GEN:
         return search_counterexamples(64, (1, 2), parallelism=parallelism)
-    return run_sweep(SweepConfig(identity=identity, n_max=64, s_values=(1, 2), parallelism=parallelism))
+    return run_sweep(SweepConfig(identity=identity, n_max=64, s_values=_taken(identity), parallelism=parallelism))
 
 
 class TestDeterminismAndParallelism:
@@ -395,7 +407,10 @@ class TestSearch:
 
 
 _JSON_ORACLE_CASES = [
-    *((f"{ident}-n64-s12", lambda ident=ident: run_sweep(SweepConfig(ident, 64, (1, 2)))) for ident in IDENTITIES),
+    *(
+        (f"{ident}-n64-s{''.join(map(str, s_values))}", lambda cfg=SweepConfig(ident, 64, s_values): run_sweep(cfg))
+        for ident, s_values in zip(IDENTITIES, map(_taken, IDENTITIES))
+    ),
     ("search-n36-s2", lambda: search_counterexamples(36, (2,))),
     ("remark", reproduce_remark),
     ("theorem2-empty", lambda: run_sweep(SweepConfig(identity="theorem2", n_max=3, s_values=(2,)))),

@@ -59,8 +59,9 @@ def _reports():
     """(case name, zero-argument report factory, formats, the case's sweep
     config or None when the report is no sweep's) for every guarded case."""
     for ident in IDENTITIES:
-        cfg = SweepConfig(identity=ident, n_max=64, s_values=(1, 2))
-        yield f"{ident}-n64-s12", (lambda cfg=cfg: run_sweep(cfg)), FORMATS, cfg
+        s_values = tuple(s for s in (1, 2) if s <= harness._SPECS[ident].s_max)
+        cfg = SweepConfig(identity=ident, n_max=64, s_values=s_values)
+        yield f"{ident}-n64-s{''.join(map(str, s_values))}", (lambda cfg=cfg: run_sweep(cfg)), FORMATS, cfg
     empty = SweepConfig(identity="theorem2", n_max=3, s_values=(2,))
     yield "theorem2-empty", (lambda: run_sweep(empty)), FORMATS, empty
     yield "remark", reproduce_remark, FORMATS, None
